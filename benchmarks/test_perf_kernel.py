@@ -1,12 +1,14 @@
-"""Bench: kernel fast-path throughput against the frozen seed baseline.
+"""Bench: kernel fast-path throughput against the seed kernel, same host.
 
 The acceptance bar for the fast-path kernel work: >= 3.4x wall speedup
 on the 128-node Quadrics nic-chained point versus the pre-optimization
-kernel (recorded constants in :mod:`repro.tools.perfbench`).  The
-floor was raised from 3.0x when the calendar-queue kernel, the chain
-prearm batching, and the up-edge elision landed (measured 3.69x on the
-reference container).  The run also emits ``BENCH_kernel.json`` at the
-repo root so the numbers are inspectable without re-running.
+kernel.  The denominator is measured on the host running the test: the
+seed kernel (commit d46d0f8) from git history, or, without history, a
+calibration loop scaled by the seed-to-loop ratio recorded in
+:mod:`repro.tools.perfbench`.  The floor was raised from 3.0x when the
+calendar-queue kernel, the chain prearm batching, and the up-edge
+elision landed.  The run also emits ``BENCH_kernel.json`` at the repo
+root so the numbers are inspectable without re-running.
 
 Speedup is wall-based: the optimizations *remove* events (detached
 timers, inline callbacks, uncontended fast paths), so raw events/sec
@@ -20,7 +22,7 @@ import time
 import pytest
 
 from repro.cluster import build_myrinet_cluster, run_barrier_experiment
-from repro.tools.perfbench import BASELINES, BIG_POINTS, POINTS, bench_point, run_benchmarks
+from repro.tools.perfbench import BIG_POINTS, POINTS, bench_point, run_benchmarks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -31,10 +33,11 @@ def test_quadrics128_speedup_and_report():
     rows = {row["point"]: row for row in report["points"]}
 
     quad = rows["quadrics128"]
+    base = quad["baseline"]
     assert quad["wall_speedup"] >= 3.4, (
         f"kernel regressed: quadrics128 wall_speedup={quad['wall_speedup']}x "
-        f"(wall={quad['wall_s']}s vs baseline "
-        f"{BASELINES['quadrics128'].wall_s}s), need >= 3.4x"
+        f"(wall={quad['wall_s']}s vs {base['source']} {base['wall_s']}s), "
+        "need >= 3.4x"
     )
     # The optimizations must not move the simulated physics: latency is
     # a deterministic model output, not a wall-clock measurement.

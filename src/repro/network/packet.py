@@ -35,7 +35,7 @@ class PacketKind:
 _wire_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One network packet.
 
@@ -51,7 +51,7 @@ class Packet:
     size_bytes: int
     payload: Any = None
     seq: Optional[int] = None
-    wire_id: int = field(default_factory=lambda: next(_wire_ids))
+    wire_id: int = field(default_factory=_wire_ids.__next__)
     sent_at: Optional[float] = None
     delivered_at: Optional[float] = None
     # Fault injection: a corrupted packet is delivered, but its CRC

@@ -41,15 +41,18 @@ off the payload.  Two structural facts make the queue cheap:
 
 Quiescence fast-forward
 -----------------------
-Cancellation stays O(1) and lazy, but reaping is *wholesale*: when a
-bucket is activated its cancelled entries are filtered out in one pass,
-and a bucket left with nothing live is dropped **without the clock ever
-materializing its timestamp** — the kernel analytically fast-forwards
-over quiescent intervals (e.g. the hundreds of armed-then-cancelled
-ACK/NACK retransmission timers between barrier rounds) in O(bucket)
-instead of O(heap churn).  Long-rotting cancelled timers in far-future
-buckets are reclaimed by :meth:`_maybe_compact` once they outnumber the
-live entries (the threshold scales with total pending work).
+Cancellation stays O(1) and lazy, but reaping is *wholesale* and
+*bucket-scoped*: a cancel aimed at a future bucket bumps that bucket's
+count in ``_bucket_cancels``, and only a bucket with a count is
+filtered when it is activated (or peeked at).  A bucket left with
+nothing live is dropped **without the clock ever materializing its
+timestamp** — the kernel analytically fast-forwards over quiescent
+intervals (e.g. the hundreds of armed-then-cancelled ACK/NACK
+retransmission timers between barrier rounds) in O(bucket) instead of
+O(heap churn), while buckets untouched by any cancel activate as-is.
+Long-rotting cancelled timers in far-future buckets are reclaimed by
+:meth:`_maybe_compact` once they outnumber the live entries (the
+threshold scales with total pending work).
 
 Delta phases
 ------------
@@ -115,7 +118,7 @@ class ScheduledCall:
         self.args = ()
         sim = self._sim
         if sim is not None:
-            sim._cancelled += 1
+            sim._note_cancel(self.time)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -148,6 +151,9 @@ class Simulator:
         self._seq: int = 0
         self._phase: int = 0
         self._cancelled: int = 0
+        # Cancelled entries per future bucket (the active heap is not
+        # counted): only buckets listed here are reaped on activation.
+        self._bucket_cancels: dict[float, int] = {}
         self._pending: int = 0  # entries (live + cancelled) across the queue
         self._unhandled: list[BaseException] = []
         # The process whose generator is currently executing (set by
@@ -190,25 +196,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _enqueue(self, time: float, entry: tuple) -> None:
-        """Route an entry to the active heap or its future bucket.
-
-        ``time == now`` goes to the active heap (it may interleave with
-        the drain in delta-phase order); a future time appends to its
-        bucket — born sorted, because only phase-0 keys ever reach a
-        future bucket and ``seq`` increases monotonically.
-        """
-        if time == self._now:
-            heappush(self._current, entry)
-        else:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [entry]
-                heappush(self._times, time)
-            else:
-                bucket.append(entry)
-        self._pending += 1
-
     def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledCall:
         """Schedule ``fn(*args)`` to run ``delay`` microseconds from now.
 
@@ -220,7 +207,21 @@ class Simulator:
         self._seq = seq = self._seq + 1
         time = self._now + delay
         call = ScheduledCall(time, seq, fn, args, self)
-        self._enqueue(time, (seq, call, None))
+        entry = (seq, call, None)
+        # ``time == now`` joins the active heap (it may interleave with
+        # the drain in delta-phase order); a future time appends to its
+        # bucket — born sorted, because only phase-0 keys ever reach a
+        # future bucket and ``seq`` increases monotonically.
+        if time == self._now:
+            heappush(self._current, entry)
+        else:
+            bucket = self._buckets.get(time)
+            if bucket is None:
+                self._buckets[time] = [entry]
+                heappush(self._times, time)
+            else:
+                bucket.append(entry)
+        self._pending += 1
         if self._cancelled >= _COMPACT_MIN_CANCELLED:
             self._maybe_compact()
         return call
@@ -236,7 +237,18 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._seq = seq = self._seq + 1
-        self._enqueue(self._now + delay, (seq, fn, args))
+        time = self._now + delay
+        entry = (seq, fn, args)
+        if time == self._now:  # routed as in schedule()
+            heappush(self._current, entry)
+        else:
+            bucket = self._buckets.get(time)
+            if bucket is None:
+                self._buckets[time] = [entry]
+                heappush(self._times, time)
+            else:
+                bucket.append(entry)
+        self._pending += 1
 
     def schedule_now(self, fn: Callable, *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current timestamp, detached.
@@ -266,6 +278,18 @@ class Simulator:
         heappush(self._current, ((phase << _PHASE_SHIFT) + seq, fn, args))
         self._pending += 1
 
+    def _note_cancel(self, time: float) -> None:
+        """Account one newly cancelled entry scheduled at ``time``.
+
+        Every future bucket's time is strictly after ``now`` (the active
+        heap holds exactly the ``now`` entries), so ``time != now``
+        names the bucket the entry is buried in.
+        """
+        self._cancelled += 1
+        if time != self._now:
+            cancels = self._bucket_cancels
+            cancels[time] = cancels.get(time, 0) + 1
+
     def _reap(self, bucket: list) -> list:
         """One wholesale pass dropping a bucket's cancelled entries.
 
@@ -288,17 +312,18 @@ class Simulator:
     def _activate_next_bucket(self) -> bool:
         """Advance the clock to the next timestamp with live work.
 
-        Buckets holding only cancelled entries are dropped whole — the
-        quiescence fast-forward: the clock jumps straight over them
-        without per-entry heap churn, never materializing their
-        timestamps.
+        Only a bucket with a cancel count is filtered; one holding only
+        cancelled entries is dropped whole — the quiescence
+        fast-forward: the clock jumps straight over it without
+        per-entry heap churn, never materializing its timestamp.
         """
         times = self._times
         buckets = self._buckets
+        cancels = self._bucket_cancels
         while times:
             time = heappop(times)
             bucket = buckets.pop(time)
-            if self._cancelled:
+            if cancels and cancels.pop(time, 0):
                 bucket = self._reap(bucket)
                 if not bucket:
                     continue
@@ -327,6 +352,7 @@ class Simulator:
             bucket[:] = self._reap(bucket)
             if not bucket:
                 del buckets[time]
+        self._bucket_cancels.clear()
         times = self._times
         times[:] = list(buckets)
         heapify(times)
@@ -398,11 +424,11 @@ class Simulator:
             return self._now
         times = self._times
         buckets = self._buckets
+        cancels = self._bucket_cancels
         while times:
             time = times[0]
-            bucket = buckets[time]
-            if self._cancelled:
-                live = self._reap(bucket)
+            if cancels and cancels.pop(time, 0):
+                live = self._reap(buckets[time])
                 if not live:
                     heappop(times)
                     del buckets[time]

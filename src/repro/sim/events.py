@@ -86,7 +86,13 @@ class SimEvent:
     # Triggering
     # ------------------------------------------------------------------
     def succeed(self, value: Any = None) -> "SimEvent":
-        self._trigger(True, value)
+        # The hottest trigger: _trigger's body inlined.
+        if self._state is not PENDING:
+            raise EventAlreadyTriggered(f"{self!r} already {self._state}")
+        self._state = TRIGGERED
+        self._ok = True
+        self._value = value
+        self.sim.schedule_now(self._process)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":

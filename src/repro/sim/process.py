@@ -17,7 +17,7 @@ import weakref
 from typing import Any, Generator, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.events import SimEvent, Timeout
+from repro.sim.events import PROCESSED, SimEvent, Timeout
 
 
 class Interrupt(Exception):
@@ -43,7 +43,7 @@ class Process:
 
     __slots__ = (
         "sim", "name", "_gen", "completion", "_waiting_on", "_resume_handle",
-        "_step_cb", "_wake_cb", "__weakref__",
+        "_step_cb", "__weakref__",
     )
 
     def __init__(self, sim: Simulator, gen: Generator, name: Optional[str] = None):
@@ -54,13 +54,12 @@ class Process:
         self._gen = gen
         self.completion = SimEvent(sim, name=f"{self.name}.completion")
         self._waiting_on: Optional[SimEvent] = None
-        # Every resume and every event wait passes one of these two
-        # bound methods to the scheduler; binding them once here turns
+        # Every resume and every event wait passes this bound method to
+        # the scheduler or the event; binding it once here turns
         # millions of per-yield bound-method allocations into attribute
         # loads.
         self._step_cb = self._step
-        self._wake_cb = self._on_event
-        self._resume_handle = sim.schedule(0.0, self._step_cb, None, None)
+        self._resume_handle = sim.schedule(0.0, self._step_cb)
         registry = sim._process_registry
         if registry is not None:
             registry.append(weakref.ref(self))
@@ -86,7 +85,7 @@ class Process:
         if not self.alive:
             return
         if self._waiting_on is not None:
-            self._waiting_on.remove_callback(self._wake_cb)
+            self._waiting_on.remove_callback(self._step_cb)
             self._waiting_on = None
         if self._resume_handle is not None:
             self._resume_handle.cancel()
@@ -95,86 +94,98 @@ class Process:
         )
 
     # ------------------------------------------------------------------
-    def _on_event(self, ev: SimEvent) -> None:
-        self._waiting_on = None
-        if ev.ok:
-            self._step(ev.value, None)
-        else:
-            ev.defuse()
-            self._step(None, ev.value)
+    def _step(
+        self, ev: Optional[SimEvent] = None, exc: Optional[BaseException] = None
+    ) -> None:
+        """Resume the generator and run it to its next blocking yield.
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+        Called with nothing (start, end of a sleep), with ``exc`` (an
+        interrupt), or as the callback of the event the process waits
+        on.  One frame per resume: the drive loop lives here, and event
+        state is read from the slots rather than through the properties.
+        """
         self._resume_handle = None
+        value = None
+        if ev is not None:
+            self._waiting_on = None
+            if ev._ok:
+                value = ev._value
+            else:
+                ev.defuse()
+                exc = ev._value
         # Event callbacks can run another process's _step synchronously
         # (e.g. a succeed() inside this generator), so the active-process
         # marker nests: save, set, restore on every exit.
         sim = self.sim
         prev_active = sim._active_process
         sim._active_process = self
+        gen = self._gen
         try:
-            self._drive(value, exc)
+            while True:
+                try:
+                    if exc is not None:
+                        target = gen.throw(exc)
+                    else:
+                        target = gen.send(value)
+                except StopIteration as stop:
+                    self.completion.succeed(stop.value)
+                    return
+                except BaseException as err:
+                    self.completion.fail(err)
+                    return
+
+                value, exc = None, None
+                cls = type(target)
+                if cls is float or cls is int:
+                    # Fast path for the dominant yield: a plain sleep.
+                    # Scheduling the generator resume directly skips the
+                    # Timeout event, its callback registration, and the
+                    # extra event-processing hop — same resume time, same
+                    # FIFO position (one scheduled call either way).
+                    if target < 0:
+                        # Thrown into the generator (like a bad yield), so
+                        # the error fails ``completion`` instead of
+                        # escaping into the run loop.
+                        exc = ValueError(f"negative timeout {target!r}")
+                        continue
+                    self._resume_handle = sim.schedule(target, self._step_cb)
+                    return
+                if not isinstance(target, SimEvent):
+                    if isinstance(target, (int, float)):
+                        # Numeric subclasses (e.g. numpy scalars, bool)
+                        # take the generic event path.
+                        if target < 0:
+                            exc = ValueError(f"negative timeout {target!r}")
+                            continue
+                        target = Timeout(sim, float(target))
+                    elif isinstance(target, Process):
+                        target = target.completion
+                    else:
+                        exc = TypeError(
+                            f"process {self.name!r} yielded {target!r}; "
+                            "expected an event, a delay, or a process"
+                        )
+                        continue
+                if target._state is PROCESSED:
+                    # Already resolved: consume its value/failure
+                    # immediately (stay inside this loop; no extra
+                    # scheduler hop).
+                    if target._ok:
+                        value = target._value
+                    else:
+                        target.defuse()
+                        exc = target._value
+                    continue
+                self._waiting_on = target
+                # Single-waiter slot filled inline (add_callback's
+                # common case); anything else takes the general path.
+                if target._cb1 is None and target._callbacks is None:
+                    target._cb1 = self._step_cb
+                else:
+                    target.add_callback(self._step_cb)
+                return
         finally:
             sim._active_process = prev_active
-
-    def _drive(self, value: Any, exc: Optional[BaseException]) -> None:
-        while True:
-            try:
-                if exc is not None:
-                    target = self._gen.throw(exc)
-                else:
-                    target = self._gen.send(value)
-            except StopIteration as stop:
-                self.completion.succeed(stop.value)
-                return
-            except BaseException as err:
-                self.completion.fail(err)
-                return
-
-            value, exc = None, None
-            cls = type(target)
-            if cls is float or cls is int:
-                # Fast path for the dominant yield: a plain sleep.
-                # Scheduling the generator resume directly skips the
-                # Timeout event, its callback registration, and the
-                # extra event-processing hop — same resume time, same
-                # FIFO position (one scheduled call either way).
-                if target < 0:
-                    # Thrown into the generator (like a bad yield), so
-                    # the error fails ``completion`` instead of escaping
-                    # into the run loop.
-                    exc = ValueError(f"negative timeout {target!r}")
-                    continue
-                self._resume_handle = self.sim.schedule(
-                    target, self._step_cb, None, None
-                )
-                return
-            if isinstance(target, (int, float)):
-                # Numeric subclasses (e.g. numpy scalars, bool) take the
-                # generic event path.
-                if target < 0:
-                    exc = ValueError(f"negative timeout {target!r}")
-                    continue
-                target = Timeout(self.sim, float(target))
-            elif isinstance(target, Process):
-                target = target.completion
-            if not isinstance(target, SimEvent):
-                exc = TypeError(
-                    f"process {self.name!r} yielded {target!r}; expected an "
-                    "event, a delay, or a process"
-                )
-                continue
-            if target.processed:
-                # Already resolved: consume its value/failure immediately
-                # (stay inside this while-loop; no extra scheduler hop).
-                if target.ok:
-                    value = target.value
-                else:
-                    target.defuse()
-                    exc = target.value
-                continue
-            self._waiting_on = target
-            target.add_callback(self._wake_cb)
-            return
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "done"

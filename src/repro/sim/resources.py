@@ -113,7 +113,9 @@ class ArbitratedResource:
 
     ``key_fn`` maps the requesting process's name to an orderable key
     (default: the name itself); it defines the hardware's service
-    priority among same-instant contenders.  Requests made outside any
+    priority among same-instant contenders.  It must be a pure function
+    of the name: its result is cached per name, so it runs once per
+    process name, not once per request.  Requests made outside any
     process must pass an explicit ``key``.
 
     The interface matches :class:`Resource` (``request``/``release``/
@@ -137,6 +139,7 @@ class ArbitratedResource:
         self.name = name or "resource"
         self._req_name = self.name + ".request"
         self._key_fn = key_fn
+        self._keys: dict[str, Any] = {}  # process name -> key_fn(name)
         self._in_use = 0
         # Heap of [birth_phase, key, n, event]; ``n`` separates requests
         # with identical keys and keeps the comparison off the event.
@@ -159,21 +162,32 @@ class ArbitratedResource:
         return len(self._pending) - self._abandoned
 
     def request(self, key: Any = None) -> SimEvent:
+        sim = self.sim
         if key is None:
-            proc = self.sim.active_process
+            proc = sim._active_process
             if proc is None:
                 raise RuntimeError(
                     f"{self.name}: request outside a process needs an "
                     "explicit arbitration key"
                 )
-            key = proc.name if self._key_fn is None else self._key_fn(proc.name)
-        ev = SimEvent(self.sim, name=self._req_name)
-        birth = self.sim.current_phase
-        self._n += 1
-        entry = [birth, key, self._n, ev]
+            name = proc.name
+            if self._key_fn is None:
+                key = name
+            else:
+                try:
+                    key = self._keys[name]
+                except KeyError:
+                    key = self._keys[name] = self._key_fn(name)
+        ev = SimEvent(sim, name=self._req_name)
+        birth = sim._phase
+        self._n = n = self._n + 1
+        entry = [birth, key, n, ev]
         heapq.heappush(self._pending, entry)
         self._entry_of[ev] = entry
-        self._ensure_pass(birth + 1)
+        # _ensure_pass(birth + 1), inlined.
+        if self._pass_phase <= birth:
+            self._pass_phase = birth + 1
+            sim.schedule_phase(birth + 1, self._pass, birth + 1)
         return ev
 
     def cancel_request(self, ev: SimEvent) -> bool:
@@ -191,7 +205,7 @@ class ArbitratedResource:
             raise RuntimeError(f"{self.name}: release without matching request")
         self._in_use -= 1
         if self._pending:
-            self._ensure_pass(self.sim.current_phase + 1)
+            self._ensure_pass(self.sim._phase + 1)
 
     def _ensure_pass(self, phase: int) -> None:
         # An armed pass always fires at the instant it was armed (see

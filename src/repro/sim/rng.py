@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 class DeterministicRng:
@@ -36,6 +36,15 @@ class DeterministicRng:
 
     def random(self) -> float:
         return self._random.random()
+
+    def random_fn(self) -> Callable[[], float]:
+        """:meth:`random` as the stream's own C-level bound method.
+
+        Same draws from the same stream, without a Python frame per
+        call — for hot loops such as the tie-break replay kernel, which
+        draws once per scheduled call.
+        """
+        return self._random.random
 
     def randint(self, lo: int, hi: int) -> int:
         return self._random.randint(lo, hi)

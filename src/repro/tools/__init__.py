@@ -10,7 +10,6 @@ from repro.tools.audit import (
     run_counter_audit,
 )
 from repro.tools.flow import message_flow, wire_sequence_diagram
-from repro.tools.perfbench import bench_point, run_benchmarks
 from repro.tools.simlint import (
     Finding,
     PerturbationReport,
@@ -57,3 +56,14 @@ __all__ = [
     "wire_sequence_diagram",
     "write_chrome_trace",
 ]
+
+
+def __getattr__(name: str):
+    # perfbench is also run as ``python -m repro.tools.perfbench``;
+    # importing it eagerly here would load it before runpy executes it
+    # (a RuntimeWarning), so its exports resolve on first access.
+    if name in ("bench_point", "run_benchmarks"):
+        from repro.tools import perfbench
+
+        return getattr(perfbench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -45,31 +45,33 @@ from heapq import heapify, heappop, heappush
 class TieBreakSimulator(Simulator):
     """A :class:`Simulator` whose same-timestamp pop order is randomized.
 
-    Entry keys become ``(time, (phase, r, seq))`` with ``r`` drawn fresh
-    per entry from the supplied rng, so equal-time, equal-phase entries
-    pop in a random (but reproducible, given the rng seed) order.
-    Different timestamps and the kernel's delta-phase ordering guarantee
-    are untouched.
+    Heap entries are flat tuples ``(time, phase, r, seq, fn, args)``
+    with ``r`` drawn fresh per entry from the supplied rng — exactly one
+    draw per scheduled call, in scheduling order — so equal-time,
+    equal-phase entries pop in a random (but reproducible, given the
+    rng seed) order.  Different timestamps and the kernel's delta-phase
+    ordering guarantee are untouched, and the unique ``seq`` keeps the
+    comparison off the payload.
 
     The stock kernel is a bucketed calendar queue whose future buckets
     rely on being born sorted; random tie-break keys would break that
-    invariant, so this subclass replaces the storage wholesale with the
-    classic single ``(time, key, ...)`` tuple heap (speed is irrelevant
-    in the lint harness) and overrides every method that touches it.
+    invariant, so this subclass replaces the storage wholesale with a
+    single tuple heap and overrides every method that touches it
+    (including cancel accounting: there are no buckets to count for).
     """
 
     def __init__(self, rng: DeterministicRng):
         super().__init__()
-        self._tiebreak = rng
+        self._draw = rng.random_fn()
         self._tb_heap: list[tuple] = []
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledCall:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._seq = seq = self._seq + 1
-        key = (0, self._tiebreak.random(), seq)
-        call = ScheduledCall(self._now + delay, key, fn, args, self)
-        heappush(self._tb_heap, (call.time, key, call, None))
+        time = self._now + delay
+        call = ScheduledCall(time, seq, fn, args, self)
+        heappush(self._tb_heap, (time, 0, self._draw(), seq, call, None))
         if self._cancelled >= _COMPACT_MIN_CANCELLED:
             self._maybe_compact()
         return call
@@ -78,22 +80,22 @@ class TieBreakSimulator(Simulator):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._seq = seq = self._seq + 1
-        key = (0, self._tiebreak.random(), seq)
-        heappush(self._tb_heap, (self._now + delay, key, fn, args))
+        heappush(self._tb_heap, (self._now + delay, 0, self._draw(), seq, fn, args))
 
     def schedule_now(self, fn: Callable, *args: Any) -> None:
         self._seq = seq = self._seq + 1
-        key = (0, self._tiebreak.random(), seq)
-        heappush(self._tb_heap, (self._now, key, fn, args))
+        heappush(self._tb_heap, (self._now, 0, self._draw(), seq, fn, args))
 
     def schedule_phase(self, phase: int, fn: Callable, *args: Any) -> None:
-        if phase <= self.current_phase:
+        if phase <= self._phase:
             raise ValueError(
-                f"phase {phase} not after current phase {self.current_phase}"
+                f"phase {phase} not after current phase {self._phase}"
             )
         self._seq = seq = self._seq + 1
-        key = (phase, self._tiebreak.random(), seq)
-        heappush(self._tb_heap, (self._now, key, fn, args))
+        heappush(self._tb_heap, (self._now, phase, self._draw(), seq, fn, args))
+
+    def _note_cancel(self, time: float) -> None:
+        self._cancelled += 1
 
     def _maybe_compact(self) -> None:
         heap = self._tb_heap
@@ -101,8 +103,8 @@ class TieBreakSimulator(Simulator):
             return
         kept = []
         for entry in heap:
-            if entry[3] is None and entry[2].cancelled:
-                entry[2].executed = True
+            if entry[5] is None and entry[4].cancelled:
+                entry[4].executed = True
                 self._cancelled -= 1
             else:
                 kept.append(entry)
@@ -111,15 +113,15 @@ class TieBreakSimulator(Simulator):
 
     def peek(self) -> float:
         heap = self._tb_heap
-        while heap and heap[0][3] is None and heap[0][2].cancelled:
-            heappop(heap)[2].executed = True
+        while heap and heap[0][5] is None and heap[0][4].cancelled:
+            heappop(heap)[4].executed = True
             self._cancelled -= 1
         return heap[0][0] if heap else float("inf")
 
     def step(self) -> bool:
         heap = self._tb_heap
         while heap:
-            time, key, fn, args = heappop(heap)
+            time, phase, _r, _seq, fn, args = heappop(heap)
             if args is None:
                 fn.executed = True
                 if fn.cancelled:
@@ -127,7 +129,7 @@ class TieBreakSimulator(Simulator):
                     continue
                 fn, args = fn.fn, fn.args
             self._now = time
-            self._phase = key[0]
+            self._phase = phase
             fn(*args)
             if self._unhandled:
                 exc = self._unhandled[0]
@@ -137,8 +139,27 @@ class TieBreakSimulator(Simulator):
         return False
 
     def _run_to_exhaustion(self) -> None:
-        while self.step():
-            pass
+        # step() inlined into one drain loop.  The heap is only ever
+        # mutated in place (compaction included), so the local stays
+        # valid across callbacks.
+        heap = self._tb_heap
+        pop = heappop
+        unhandled = self._unhandled
+        while heap:
+            time, phase, _r, _seq, fn, args = pop(heap)
+            if args is None:
+                fn.executed = True
+                if fn.cancelled:
+                    self._cancelled -= 1
+                    continue
+                fn, args = fn.fn, fn.args
+            self._now = time
+            self._phase = phase
+            fn(*args)
+            if unhandled:
+                exc = unhandled[0]
+                unhandled.clear()
+                raise exc
 
 
 # ----------------------------------------------------------------------

@@ -378,3 +378,152 @@ class TestLateCancel:
         assert sim._cancelled == 2
         sim.run()
         assert all(c.executed for c in pending[2:])
+
+
+class TestBucketScopedReaping:
+    """Only buckets that hold cancellations are reaped: a cancel aimed at
+    a future bucket is counted against that bucket's time, and the count
+    is consumed when the bucket is peeked at, activated or compacted."""
+
+    def test_cancel_then_peek_then_activation(self):
+        sim = Simulator()
+        seen = []
+        dead = sim.schedule(5.0, seen.append, "dead")
+        sim.schedule(5.0, seen.append, "live")
+        sim.schedule(7.0, seen.append, "later")
+        dead.cancel()
+        assert sim._bucket_cancels == {5.0: 1}
+        assert sim.peek() == 5.0
+        # peek() reaped the counted bucket; activation has nothing left
+        # to filter and a late cancel of the reaped handle is a no-op.
+        assert sim._bucket_cancels == {}
+        assert sim._cancelled == 0
+        assert dead.executed
+        dead.cancel()
+        assert sim._cancelled == 0
+        sim.run()
+        assert seen == ["live", "later"]
+        assert sim._pending == 0
+
+    def test_peek_drops_all_cancelled_bucket_and_its_count(self):
+        sim = Simulator()
+        timers = [sim.schedule(5.0, lambda: None) for _ in range(3)]
+        sim.schedule(9.0, lambda: None)
+        for timer in timers:
+            timer.cancel()
+        assert sim._bucket_cancels == {5.0: 3}
+        assert sim.peek() == 9.0
+        assert sim._bucket_cancels == {}
+        assert sim._pending == 1
+
+    def test_cancel_at_current_instant_is_not_bucket_counted(self):
+        """A same-instant handle sits in the active heap, not in a
+        bucket: it is skipped at pop, never counted per bucket."""
+        sim = Simulator()
+        seen = []
+        handles = {}
+
+        def killer():
+            handles["victim"].cancel()
+            assert sim._bucket_cancels == {}
+            assert sim._cancelled == 1
+
+        sim.schedule(3.0, killer)
+        handles["victim"] = sim.schedule(3.0, seen.append, "victim")
+        sim.schedule(3.0, seen.append, "after")
+        sim.run()
+        assert seen == ["after"]
+        assert sim._cancelled == 0
+        assert sim._pending == 0
+
+    def test_trailing_all_cancelled_buckets_leave_now_at_last_live_event(self):
+        sim = Simulator()
+        sim.schedule(10.0, lambda: None)
+        tail = [sim.schedule(t, lambda: None) for t in (20.0, 30.0, 30.0)]
+        for timer in tail:
+            timer.cancel()
+        assert sim._bucket_cancels == {20.0: 1, 30.0: 2}
+        sim.run()
+        assert sim.now == 10.0
+        assert sim._bucket_cancels == {}
+        assert sim._cancelled == 0
+        assert sim._pending == 0
+
+    def test_uncancelled_bucket_activates_unfiltered(self):
+        """A bucket no cancel touched is activated as-is, even while
+        cancellations are outstanding elsewhere."""
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "a")
+        far = sim.schedule(50.0, seen.append, "never")
+        far.cancel()
+        bucket = sim._buckets[1.0]
+        assert sim.step()
+        assert sim._current is bucket
+        assert sim._bucket_cancels == {50.0: 1}
+        sim.run()
+        assert seen == ["a"]
+
+    def test_compaction_resets_the_counts(self):
+        sim = Simulator()
+        seen = []
+        handles = [
+            sim.schedule(float(t), seen.append, ("dead", t)) for t in range(1, 2049)
+        ]
+        sim.schedule(5000.0, seen.append, "keep")
+        for handle in handles:
+            handle.cancel()
+        assert len(sim._bucket_cancels) == 2048
+        sim.schedule(6000.0, seen.append, "trigger")  # compacts
+        assert sim._bucket_cancels == {}
+        assert sim._cancelled == 0
+        assert sim._pending == 2
+        sim.run()
+        assert seen == ["keep", "trigger"]
+        assert sim.now == 6000.0
+
+    def test_tiebreak_simulator_keeps_no_bucket_counts(self):
+        from repro.sim.rng import DeterministicRng
+        from repro.tools.simlint import TieBreakSimulator
+
+        sim = TieBreakSimulator(DeterministicRng(0, "test/reaping"))
+        seen = []
+        timers = [sim.schedule(float(t), seen.append, t) for t in range(1, 6)]
+        sim.schedule(10.0, seen.append, "end")
+        for timer in timers[:3]:
+            timer.cancel()
+        assert sim._bucket_cancels == {}
+        assert sim._cancelled == 3
+        sim.run()
+        assert seen == [4, 5, "end"]
+        assert sim._bucket_cancels == {}
+        assert sim._cancelled == 0
+
+
+def test_arbitrated_key_fn_runs_once_per_process_name():
+    from repro.sim import ArbitratedResource
+
+    sim = Simulator()
+    calls = []
+
+    def key_fn(name):
+        calls.append(name)
+        return (-len(name), name)
+
+    cpu = ArbitratedResource(sim, capacity=1, name="cpu", key_fn=key_fn)
+    order = []
+
+    def task(label):
+        for _ in range(3):
+            yield cpu.request()
+            order.append((sim.now, label))
+            yield 1.0
+            cpu.release()
+
+    sim.process(task("a"), name="a")
+    sim.process(task("bb"), name="bb")
+    sim.run()
+    assert sorted(calls) == ["a", "bb"]
+    # The cached key still decides same-instant grants: "bb" sorts first.
+    assert order[0] == (0.0, "bb")
+    assert len(order) == 6

@@ -1,5 +1,10 @@
 """The README's import surface must exist and work."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -52,3 +57,25 @@ def test_subpackages_importable():
     import repro.sim
     import repro.tools
     import repro.topology
+
+
+def test_tools_perfbench_exports_resolve_lazily():
+    import repro.tools
+    from repro.tools import perfbench
+
+    assert repro.tools.bench_point is perfbench.bench_point
+    assert repro.tools.run_benchmarks is perfbench.run_benchmarks
+    with pytest.raises(AttributeError):
+        repro.tools.flux_capacitor
+
+
+def test_perfbench_module_entry_is_warning_free():
+    """``python -m repro.tools.perfbench`` must not find the module
+    already imported by its own package (runpy's RuntimeWarning)."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "repro.tools.perfbench", "--help"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
