@@ -10,6 +10,11 @@ Layout:
 - :mod:`~repro.collectives.protocol` — the collective protocol state:
   the single send record with a bit vector, and the receiver-driven
   retransmission bookkeeping (§3, §6.3).
+- :mod:`~repro.collectives.sequence` — the sequence core every
+  Myrinet NIC engine runs on (state table, retirement archive, NACK
+  timer, epoch/teardown/restart, typed failures) and the lifecycle
+  automaton it dispatches through; also the one host-side matcher and
+  interpreter for every engine's outcome.
 - :mod:`~repro.collectives.myrinet_engines` — the two NIC-resident
   barrier engines for Myrinet: the **direct scheme** (prior work: NIC
   triggers messages through the p2p protocol) and the **collective
@@ -58,16 +63,14 @@ from repro.collectives.messages import (
     BarrierFailure,
     BarrierMsg,
     BarrierNack,
+    CollectiveFailure,
+    DataCollDone,
+    DataCollFailed,
 )
 from repro.collectives.protocol import (
     CollectiveGroupState,
     CollectiveScheduleLayout,
     CollectiveSendRecord,
-)
-from repro.collectives.data_engine import (
-    CollectiveFailure,
-    DataCollDone,
-    DataCollFailed,
 )
 from repro.collectives.myrinet_engines import (
     NicCollectiveBarrierEngine,

@@ -13,20 +13,13 @@ through four hooks:
 - ``_merge``          — fold an arrived payload into the state;
 - ``_finish``         — produce the host-visible result (+ DMA bytes).
 
-The base class provides everything the paper's protocol prescribes:
-the fast send path (no p2p queues/records), one logical record per
-operation, receiver-driven NACK retransmission, per-sequence duplicate
-suppression, and retention of sent payloads so even post-completion
-NACKs are answerable.
-
-Sequences are independent: several can be in flight per group (the
-non-blocking APIs in :mod:`repro.collectives.nonblocking` depend on
-this) and they may *complete out of order* — e.g. a NACK-recovered
-sequence finishing after a younger one sailed through.  Retirement is
-therefore tracked per sequence, aligned with the bounded send archive,
-rather than with a single high-watermark: a message is a duplicate iff
-its sequence sits in the archive (recently retired) or at/below the
-floor the archive has pruned past.
+The sequence lifecycle — retirement into the bounded archive, the NACK
+timer and its budget, epoch/teardown/restart, typed failures — is the
+shared :class:`~repro.collectives.sequence.SequenceEngine`.  This
+module adds what the paper's protocol prescribes for data: op replay on
+the fast send path (no p2p queues/records), per-(sender, phase)
+duplicate suppression, and retention of sent payloads so even
+post-completion NACKs are answerable.
 """
 
 from __future__ import annotations
@@ -34,11 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.collectives.failures import FailureReason, Revoked
+from repro.collectives.failures import FailureReason
 from repro.collectives.group import ProcessGroup
-from repro.collectives.messages import BarrierFailure
+from repro.collectives.messages import CollectiveFailure as CollectiveFailure
+from repro.collectives.messages import DataCollDone
 from repro.collectives.schedule_ir import CollectiveSchedule, ScheduleOp
-from repro.network import Packet, PacketKind
+from repro.collectives.sequence import (
+    SEQUENCE_AUTOMATON,
+    SequenceEngine,
+    SequenceState,
+    wait_sequence,
+)
+from repro.network import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.myrinet.nic import LanaiNic
@@ -46,42 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Typed failure reason when a receiver exhausts its NACK retry budget
 #: (back-compat alias into the registry).
 RETRY_BUDGET_EXHAUSTED = FailureReason.DATACOLL_BUDGET.value
-
-#: The per-sequence lifecycle automaton, exported as *data* so the
-#: schedule-IR verifier's bounded model checker (simlint SL207/SL208)
-#: checks the same state machine the engine runs instead of re-reading
-#: method bodies.  ``(state, event) -> action``:
-#:
-#: - states: ``idle`` (no state yet), ``running`` (live sequence),
-#:   ``retired`` (completed or failed — archived or below the floor);
-#: - events: ``start`` (host command), ``arrival`` (matched collective
-#:   message), ``stale_arrival`` (sender already pending), ``timeout``
-#:   (NACK timer, budget remaining), ``timeout_exhausted`` (NACK timer,
-#:   budget spent), ``invalid`` (``_validate`` rejection), ``ops_done``
-#:   (op list replayed to the final dma), ``nack`` (peer NACK for a
-#:   retired sequence);
-#: - actions: ``run`` (replay ops via ``_progress``), ``drop``,
-#:   ``nack_rearm`` (send NACK, re-arm the timer), ``fail`` (typed
-#:   teardown via ``_fail``), ``complete`` (teardown via ``_complete``),
-#:   ``resend_archive`` (answer from the retained payloads).
-#:
-#: The two entries the engine *dispatches through* (rather than merely
-#: documents) are the two historical bug sites: ``timeout_exhausted``
-#: (the PR 7 silent-``return`` hang — anything but ``fail`` parks every
-#: rank forever, which the model checker flags as an SL207 absorbing
-#: state) and ``("retired", "arrival")`` (anything but ``drop``
-#: resurrects a finished sequence, the SL208 exactly-once violation).
-SEQUENCE_AUTOMATON: dict[tuple[str, str], str] = {
-    ("idle", "start"): "run",
-    ("running", "arrival"): "run",
-    ("running", "stale_arrival"): "drop",
-    ("running", "timeout"): "nack_rearm",
-    ("running", "timeout_exhausted"): "fail",
-    ("running", "invalid"): "fail",
-    ("running", "ops_done"): "complete",
-    ("retired", "arrival"): "drop",
-    ("retired", "nack"): "resend_archive",
-}
 
 
 @dataclass(frozen=True)
@@ -110,53 +74,18 @@ class DataCollNack:
     requester: int
 
 
-@dataclass(frozen=True)
-class DataCollDone:
-    """Host notification carrying the collective's result."""
-
-    group_id: int
-    seq: int
-    result: Any
-
-
-@dataclass(frozen=True)
-class DataCollFailed:
-    """Failure notification the NIC DMAs to the host.
-
-    Posted when the engine detects an unrecoverable protocol violation
-    (e.g. ranks disagreeing on the Allreduce operator) or gives up on a
-    retransmission budget.  The NIC has already torn the sequence's
-    state down; the host-side wrapper raises it as
-    :class:`CollectiveFailure`.
-    """
-
-    group_id: int
-    seq: int
-    reason: str
-    failed_at: float
-
-
-class CollectiveFailure(BarrierFailure):
-    """A data collective gave up instead of hanging — same typed
-    escalation surface as :class:`~repro.collectives.messages
-    .BarrierFailure`, so existing handlers catch both."""
-
-
-class _DataState:
+class _DataState(SequenceState):
     """Per-(rank, sequence) progress for one data collective."""
 
     __slots__ = (
-        "seq", "data", "op_index", "started", "complete", "in_progress",
-        "received", "payload_phase", "payload_value", "payload_nbytes",
-        "sent_messages", "pending", "nack_timer", "nack_rounds",
+        "data", "op_index", "in_progress", "received", "payload_phase",
+        "payload_value", "payload_nbytes", "sent_messages", "pending",
     )
 
     def __init__(self, seq: int):
-        self.seq = seq
+        super().__init__(seq)
         self.data: Any = None
         self.op_index = 0
-        self.started = False
-        self.complete = False
         self.in_progress = False
         self.received: Optional[DataCollMsg] = None
         # A phase's payload is built exactly once, even when the phase
@@ -166,16 +95,9 @@ class _DataState:
         self.payload_nbytes = 0
         self.sent_messages: dict[int, DataCollMsg] = {}  # phase -> message
         self.pending: dict[int, DataCollMsg] = {}  # sender -> message
-        self.nack_timer = None
-        self.nack_rounds = 0
-
-    def cancel_timer(self) -> None:
-        if self.nack_timer is not None:
-            self.nack_timer.cancel()
-            self.nack_timer = None
 
 
-class DisseminationDataEngine:
+class DisseminationDataEngine(SequenceEngine):
     """Base NIC engine for schedule-replaying data collectives."""
 
     counter_prefix = "datacoll"
@@ -187,6 +109,9 @@ class DisseminationDataEngine:
     #: Per-sequence state class; subclasses needing extra fields (e.g.
     #: Allreduce's operator) override with a ``_DataState`` subclass.
     state_cls = _DataState
+    #: Default wire bytes of one contributed value (subclasses override
+    #: or the constructor pins it for payload sweeps).
+    bytes_per_value = 4
 
     def __init__(
         self,
@@ -196,13 +121,6 @@ class DisseminationDataEngine:
         bytes_per_value: Optional[int] = None,
         root: int = 0,
     ):
-        if group.node_of(rank) != nic.node_id:
-            raise ValueError(
-                f"rank {rank} of group {group.group_id} is not on {nic.name}"
-            )
-        self.nic = nic
-        self.group = group
-        self.rank = rank
         self.root = root
         if bytes_per_value is not None:
             self.bytes_per_value = bytes_per_value
@@ -223,20 +141,8 @@ class DisseminationDataEngine:
             for i, op in enumerate(self.ops)
             if op.kind == "recv"
         }
-        self.states: dict[int, _DataState] = {}
-        self.closed = False
         self.completed = 0
-        # Per-seq retirement, aligned with the bounded send archive:
-        # ``archive`` holds the recently-retired sequences (completed or
-        # failed, in any order); ``done_floor`` rises only as the
-        # archive prunes, so everything at/below it is long retired.
-        self.archive: dict[int, dict[int, DataCollMsg]] = {}
-        self.done_floor = -1
-        nic.register_engine(group.group_id, self)
-
-    #: Default wire bytes of one contributed value (subclasses override
-    #: or the constructor pins it for payload sweeps).
-    bytes_per_value = 4
+        super().__init__(nic, group, rank)
 
     # -- hooks ---------------------------------------------------------
     def _init_data(self, state: _DataState, args: tuple) -> None:
@@ -258,123 +164,53 @@ class DisseminationDataEngine:
         silently merging inconsistent contributions."""
         return None
 
-    # -- plumbing --------------------------------------------------------
-    def _state(self, seq: int) -> _DataState:
-        state = self.states.get(seq)
-        if state is None:
-            state = self.state_cls(seq)
-            self.states[seq] = state
-        return state
+    # -- sequence-core hooks -------------------------------------------
+    def _new_state(self, seq: int) -> _DataState:
+        return self.state_cls(seq)
 
-    def _retired(self, seq: int) -> bool:
-        return seq <= self.done_floor or seq in self.archive
-
-    def on_command(self, command: tuple):
-        kind = command[0]
-        if kind == "start":
-            yield from self._on_start(command[1], command[2:])
-        elif kind == "timeout":
-            yield from self._on_nack_timeout(command[1])
-        elif kind == "epoch":
-            yield from self.on_epoch_change()
-        elif kind == "teardown":
-            yield from self.on_teardown()
-        else:
-            raise ValueError(f"unknown {self.counter_prefix} command {command!r}")
-
-    def _on_start(self, seq: int, args: tuple):
-        nic = self.nic
-        yield from nic.cpu_task(nic.params.t_coll_start)
-        if self.closed:
-            # Epoch died while the start crossed the bus: resolve the
-            # host with a typed revocation instead of parking it.
-            nic.tracer.count(f"{self.counter_prefix}.start_after_revoke")
-            yield from nic.notify_host(
-                DataCollFailed(
-                    self.group.group_id, seq,
-                    FailureReason.GROUP_REVOKED.value, nic.sim.now,
-                )
-            )
-            return
-        state = self._state(seq)
+    def _on_begin(self, state: _DataState, args: tuple) -> None:
         self._init_data(state, args)
-        state.started = True
         self._arm_nack_timer(state)
-        yield from self._progress(seq)
+
+    def _retained(self, state: _DataState) -> dict[int, DataCollMsg]:
+        return state.sent_messages
 
     def on_bcast_packet(self, packet: Packet):
         """Data-collective traffic arrives as BCAST-kind packets."""
         message: DataCollMsg = packet.payload
         nic = self.nic
+        prefix = self.counter_prefix
         yield from nic.cpu_task(nic.params.t_coll_trigger)
-        if self.closed:
-            # Revoked epoch: stray traffic from peers that had not yet
-            # heard must never resurrect a sequence.
-            nic.tracer.count(f"{self.counter_prefix}.rx_after_revoke")
+        # A revoked epoch's stray traffic from peers that had not yet
+        # heard must never resurrect a sequence.
+        if self.closed and self._drops("closed", "arrival", f"{prefix}.rx_after_revoke"):
             return
-        if self._retired(message.seq):
-            if SEQUENCE_AUTOMATON.get(("retired", "arrival")) == "drop":
-                nic.tracer.count(f"{self.counter_prefix}.rx_duplicate")
-                return
-            # Any other action resurrects a finished sequence (the
-            # exactly-once violation SL208 proves absent); falling
-            # through here models that broken automaton for the
-            # verifier's regression shim.
+        if self._retired(message.seq) and self._drops(
+            "retired", "arrival", f"{prefix}.rx_duplicate"
+        ):
+            return
         state = self._state(message.seq)
-        if message.sender in state.pending:
-            nic.tracer.count(f"{self.counter_prefix}.rx_duplicate")
+        if message.sender in state.pending and self._drops(
+            "running", "stale_arrival", f"{prefix}.rx_duplicate"
+        ):
             return
         pos = self._recv_pos.get((message.sender, message.phase))
         if pos is None:
             # No recv op ever consumes this (sender, phase) here.
-            nic.tracer.count(f"{self.counter_prefix}.rx_unexpected")
+            nic.tracer.count(f"{prefix}.rx_unexpected")
             return
-        if pos < state.op_index:
-            # Its recv op already consumed the original: a retransmit
-            # delivered twice (NACK answered across a healing link).
-            # Exactly-once: count and discard, never re-buffer.
-            nic.tracer.count(f"{self.counter_prefix}.rx_duplicate")
+        # Its recv op already consumed the original: a retransmit
+        # delivered twice (NACK answered across a healing link).
+        # Exactly-once: count and discard, never re-buffer.
+        if pos < state.op_index and self._drops(
+            "running", "stale_arrival", f"{prefix}.rx_duplicate"
+        ):
             return
         state.pending[message.sender] = message
-        if state.started and not state.complete:
-            yield from self._progress(message.seq)
-
-    def on_barrier_packet(self, packet: Packet):  # pragma: no cover - guard
-        raise TypeError(f"{self.counter_prefix} engine received a barrier packet")
-
-    # -- epoch repair / teardown -------------------------------------------
-    def on_epoch_change(self):
-        """The group's epoch died: abort every in-flight sequence.
-
-        Started sequences fail up to the host with the typed
-        ``group-revoked`` reason through the same ``_fail`` teardown
-        retry exhaustion uses (timer cancelled, state archived, host
-        notified — so blocking and non-blocking waiters both resolve);
-        passive early-arrival states drop silently.  The engine closes:
-        late traffic and late starts for the dead epoch are refused.
-        """
-        nic = self.nic
-        self.closed = True
-        for seq in sorted(self.states):
-            state = self.states[seq]
-            if state.started and not state.complete:
-                yield from self._fail(state, FailureReason.GROUP_REVOKED.value)
-            else:
-                state.cancel_timer()
-                del self.states[seq]
-                nic.tracer.count(f"{self.counter_prefix}.epoch_state_dropped")
-
-    def on_teardown(self):
-        """Silent close (dead node's own NIC at repair): drop every
-        state without host notifications."""
-        nic = self.nic
-        self.closed = True
-        for seq in sorted(self.states):
-            state = self.states.pop(seq)
-            state.cancel_timer()
-            nic.tracer.count(f"{self.counter_prefix}.teardown_state_dropped")
-        return
-        yield  # pragma: no cover - makes this a generator
+        if state.started and not state.complete and (
+            SEQUENCE_AUTOMATON["running", "arrival"] == "run"
+        ):
+            yield from self._progress(state)
 
     # -- schedule replay ---------------------------------------------------
     def _payload_for(self, state: _DataState, phase: int) -> tuple[Any, int]:
@@ -385,13 +221,12 @@ class DisseminationDataEngine:
             state.payload_phase = phase
         return state.payload_value, state.payload_nbytes
 
-    def _progress(self, seq: int):
+    def _progress(self, state: _DataState):
         """Replay the compiled op list from where this sequence stands.
 
         Stalls (returns) at a ``recv`` whose message has not arrived;
         the next arrival or NACK-recovered retransmission resumes it.
         """
-        state = self._state(seq)
         if state.in_progress:
             return
         state.in_progress = True
@@ -409,7 +244,9 @@ class DisseminationDataEngine:
                         return
                     del state.pending[op.peer]
                     reason = self._validate(state, message)
-                    if reason is not None:
+                    if reason is not None and (
+                        SEQUENCE_AUTOMATON["running", "invalid"] == "fail"
+                    ):
                         yield from self._fail(state, reason)
                         return
                     state.received = message
@@ -421,8 +258,7 @@ class DisseminationDataEngine:
                     state.op_index += 1
                 else:  # dma: deliver the result
                     state.op_index += 1
-                    if not state.complete:
-                        state.complete = True
+                    if self._commit(state):
                         yield from self._complete(state)
                     return
         finally:
@@ -436,18 +272,6 @@ class DisseminationDataEngine:
         state.sent_messages[phase] = message
         yield from nic.coll_inject(self.group.node_of(dst), message, nbytes)
         nic.tracer.count(f"{self.counter_prefix}.sent")
-
-    def _retire(self, state: _DataState) -> None:
-        """Shared completion/failure teardown: drop live state, archive
-        the sent payloads for stale NACKs, prune FIFO, and advance the
-        retirement floor past whatever the archive forgot."""
-        state.cancel_timer()
-        del self.states[state.seq]
-        self.archive[state.seq] = state.sent_messages
-        while len(self.archive) > self.nic.params.coll_archive_depth:
-            pruned = min(self.archive)
-            self.archive.pop(pruned)
-            self.done_floor = max(self.done_floor, pruned)
 
     def _complete(self, state: _DataState):
         from repro.pci import DmaDirection
@@ -464,48 +288,8 @@ class DisseminationDataEngine:
             DataCollDone(self.group.group_id, state.seq, result)
         )
 
-    def _fail(self, state: _DataState, reason: str):
-        """Tear the sequence down and notify the host with a typed failure.
-
-        Mirrors ``_complete``'s teardown (timer, state table, archive)
-        so a failed sequence leaves no dangling NIC resources, but DMAs
-        a :class:`DataCollFailed` instead of a result.
-        """
-        nic = self.nic
-        nic.tracer.count(f"{self.counter_prefix}.failed")
-        self._retire(state)
-        yield from nic.notify_host(
-            DataCollFailed(self.group.group_id, state.seq, reason, nic.sim.now)
-        )
-
     # -- receiver-driven reliability ----------------------------------------
-    def _arm_nack_timer(self, state: _DataState) -> None:
-        nic = self.nic
-        state.nack_timer = nic.sim.schedule(
-            nic.params.nack_timeout_us, self._nack_timer_fired, state.seq
-        )
-
-    def _nack_timer_fired(self, seq: int) -> None:
-        if seq in self.states:
-            self.nic.post_engine_command((self.group.group_id, "timeout", seq))
-
-    def _on_nack_timeout(self, seq: int):
-        state = self.states.get(seq)
-        if state is None or state.complete or not state.started:
-            return
-        state.nack_rounds += 1
-        if state.nack_rounds > self.nic.params.max_retries:
-            # Retry budget exhausted: tear the sequence down with a
-            # typed failure instead of leaking the state and leaving
-            # the host blocked in recv_matching forever.  Dispatched
-            # through the exported automaton so the SL207 model check
-            # and the engine can never disagree: any action but "fail"
-            # is the PR 7 silent ``return`` — the sequence parks with a
-            # dead timer and no recovery transition.
-            if SEQUENCE_AUTOMATON.get(("running", "timeout_exhausted")) == "fail":
-                self.nic.tracer.count(f"{self.counter_prefix}.gave_up")
-                yield from self._fail(state, RETRY_BUDGET_EXHAUSTED)
-            return
+    def _send_nacks(self, state: _DataState):
         if state.op_index < len(self.ops):
             op = self.ops[state.op_index]
             if op.kind == "recv" and op.peer not in state.pending:
@@ -513,27 +297,27 @@ class DisseminationDataEngine:
                 yield from self.nic.send_nack(
                     self.group.node_of(op.peer),
                     DataCollNack(
-                        self.group.group_id, seq, op.peer_phase, op.peer, self.rank
+                        self.group.group_id, state.seq, op.peer_phase, op.peer, self.rank
                     ),
                 )
-        self._arm_nack_timer(state)
 
     def on_nack(self, packet: Packet):
         nack: DataCollNack = packet.payload
         nic = self.nic
+        prefix = self.counter_prefix
         yield from nic.cpu_task(nic.params.t_nack_process)
-        if self.closed:
-            nic.tracer.count(f"{self.counter_prefix}.nack_after_revoke")
+        if self.closed and self._drops("closed", "nack", f"{prefix}.nack_after_revoke"):
             return
         state = self.states.get(nack.seq)
+        message = None
         if state is not None:
             message = state.sent_messages.get(nack.phase)
-            counter = f"{self.counter_prefix}.nack_retransmit"
-        else:
+            counter = f"{prefix}.nack_retransmit"
+        elif SEQUENCE_AUTOMATON["retired", "nack"] == "resend_archive":
             message = self.archive.get(nack.seq, {}).get(nack.phase)
-            counter = f"{self.counter_prefix}.nack_stale_resend"
+            counter = f"{prefix}.nack_stale_resend"
         if message is None:
-            nic.tracer.count(f"{self.counter_prefix}.nack_premature")
+            nic.tracer.count(f"{prefix}.nack_premature")
             return
         nic.tracer.count(counter)
         yield from nic.coll_inject(
@@ -545,14 +329,14 @@ def host_start_data_collective(port, group: ProcessGroup, seq: int, args: tuple,
                                contribute_bytes: int):
     """Shared host side: contribute data, start, await the result."""
     yield from host_post_data_collective(port, group, seq, args, contribute_bytes)
-    result = yield from host_wait_data_collective(port, group, seq)
+    result = yield from wait_sequence(port, group, seq)
     return result
 
 
 def host_post_data_collective(port, group: ProcessGroup, seq: int, args: tuple,
                               contribute_bytes: int):
     """Non-blocking host side: contribute data and start the NIC engine
-    without waiting.  Pair with :func:`host_wait_data_collective`."""
+    without waiting for the result."""
     from repro.pci import DmaDirection
 
     yield from port.cpu.compute(port.cpu.params.send_overhead_us)
@@ -560,30 +344,3 @@ def host_post_data_collective(port, group: ProcessGroup, seq: int, args: tuple,
     if contribute_bytes > 0:
         yield from port.pci.dma(contribute_bytes, DmaDirection.HOST_TO_NIC)
     port.nic.post_engine_command((group.group_id, "start", seq) + args)
-    return seq
-
-
-def data_collective_matcher(group: ProcessGroup, seq: int):
-    """Event matcher for one sequence's completion (done or failed)."""
-    return (
-        lambda ev: isinstance(ev, (DataCollDone, DataCollFailed))
-        and ev.group_id == group.group_id
-        and ev.seq == seq
-    )
-
-
-def interpret_data_collective(done, group: ProcessGroup, node_id: int):
-    """Turn a completion event into a result, raising typed failures
-    (:class:`Revoked` when the epoch died)."""
-    if isinstance(done, DataCollFailed):
-        if done.reason == FailureReason.GROUP_REVOKED.value:
-            raise Revoked(group.group_id, done.seq, node=node_id,
-                          failed_at=done.failed_at)
-        raise CollectiveFailure(group.group_id, done.seq, done.reason, node=node_id)
-    return done.result
-
-
-def host_wait_data_collective(port, group: ProcessGroup, seq: int):
-    """Blocking wait for a previously-posted data collective."""
-    done = yield from port.recv_matching(data_collective_matcher(group, seq))
-    return interpret_data_collective(done, group, port.node_id)

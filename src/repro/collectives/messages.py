@@ -1,4 +1,4 @@
-"""Wire messages and host notifications for barrier operations."""
+"""Wire messages and host notifications for the NIC collectives."""
 
 from __future__ import annotations
 
@@ -81,3 +81,44 @@ class BarrierFailure(RuntimeError):
         self.seq = seq
         self.reason = reason
         self.node = node
+
+
+@dataclass(frozen=True)
+class DataCollDone:
+    """Host notification carrying a data collective's result."""
+
+    group_id: int
+    seq: int
+    result: Any
+
+
+@dataclass(frozen=True)
+class DataCollFailed:
+    """Failure notification for a data collective or a broadcast.
+
+    Posted when the engine detects an unrecoverable protocol violation
+    (e.g. ranks disagreeing on the Allreduce operator) or gives up on a
+    retransmission budget.  The NIC has already torn the sequence's
+    state down; the host side raises it as :class:`CollectiveFailure`.
+    """
+
+    group_id: int
+    seq: int
+    reason: str
+    failed_at: float
+
+
+@dataclass(frozen=True)
+class BcastDone:
+    """Host notification: the broadcast payload reached this node's memory."""
+
+    group_id: int
+    seq: int
+    size_bytes: int
+    payload: Any = None
+
+
+class CollectiveFailure(BarrierFailure):
+    """A data collective gave up instead of hanging — same typed
+    escalation surface as :class:`BarrierFailure`, so existing handlers
+    catch both."""

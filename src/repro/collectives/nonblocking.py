@@ -39,23 +39,11 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.collectives.allgather import BYTES_PER_VALUE
 from repro.collectives.alltoall import BYTES_PER_BLOCK
-from repro.collectives.broadcast import (
-    broadcast_matcher,
-    interpret_broadcast,
-    post_broadcast_recv,
-    post_broadcast_root,
-)
-from repro.collectives.data_engine import (
-    data_collective_matcher,
-    host_post_data_collective,
-    interpret_data_collective,
-)
+from repro.collectives.broadcast import post_broadcast_recv, post_broadcast_root
+from repro.collectives.data_engine import host_post_data_collective
 from repro.collectives.group import ProcessGroup
-from repro.collectives.myrinet_engines import (
-    barrier_matcher,
-    interpret_barrier,
-    post_barrier,
-)
+from repro.collectives.myrinet_engines import post_barrier
+from repro.collectives.sequence import interpret_outcome, sequence_matcher
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.myrinet.gm_api import GmPort
@@ -70,15 +58,14 @@ class CollectiveRequest:
         collective: str,
         group: ProcessGroup,
         seq: int,
-        matcher: Callable[[Any], bool],
-        interpret: Callable[[Any], Any],
+        transform: Optional[Callable[[Any], Any]] = None,
     ):
         self.port = port
         self.collective = collective
         self.group = group
         self.seq = seq
-        self._matcher = matcher
-        self._interpret = interpret
+        self._matcher = sequence_matcher(group, seq)
+        self._transform = transform
         self.done = False
         self.result: Any = None
         #: Typed failure the collective resolved to (``Revoked``,
@@ -87,38 +74,36 @@ class CollectiveRequest:
         #: silently swallowed by a repeat call.
         self.failure: Optional[Exception] = None
 
-    def _settle(self, event: Any) -> Any:
+    def _settle(self, event: Any) -> None:
         self.done = True
-        # interpret() may raise a typed failure; the request still
+        # The interpreter may raise a typed failure; the request still
         # counts as settled (waiting again would hang on a consumed
         # event), so mark done first.
         try:
-            self.result = self._interpret(event)
+            result = interpret_outcome(event, self.port.node_id)
         except Exception as exc:
             self.failure = exc
             raise
-        return self.result
+        self.result = result if self._transform is None else self._transform(result)
 
     def wait(self):
         """Block until the collective completes; returns its result."""
-        if self.done:
-            if self.failure is not None:
-                raise self.failure
-            return self.result
-        event = yield from self.port.recv_matching(self._matcher)
-        return self._settle(event)
+        if not self.done:
+            self._settle((yield from self.port.recv_matching(self._matcher)))
+        elif self.failure is not None:
+            raise self.failure
+        return self.result
 
     def test(self):
         """One non-blocking poll: ``True`` iff the collective has
         completed (its result is then in ``self.result``)."""
-        if self.done:
-            if self.failure is not None:
-                raise self.failure
-            return True
-        event = yield from self.port.poll_matching(self._matcher)
-        if event is None:
-            return False
-        self._settle(event)
+        if not self.done:
+            event = yield from self.port.poll_matching(self._matcher)
+            if event is None:
+                return False
+            self._settle(event)
+        elif self.failure is not None:
+            raise self.failure
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -129,20 +114,6 @@ class CollectiveRequest:
         )
 
 
-def _data_request(
-    port: "GmPort", collective: str, group: ProcessGroup, seq: int,
-    transform: Optional[Callable[[Any], Any]] = None,
-) -> CollectiveRequest:
-    def interpret(event):
-        result = interpret_data_collective(event, group, port.node_id)
-        return transform(result) if transform is not None else result
-
-    return CollectiveRequest(
-        port, collective, group, seq,
-        data_collective_matcher(group, seq), interpret,
-    )
-
-
 # ----------------------------------------------------------------------
 # Starters
 # ----------------------------------------------------------------------
@@ -150,11 +121,7 @@ def nic_ibarrier(port: "GmPort", group: ProcessGroup, seq: int):
     """Post a barrier; returns a request whose result is the
     BarrierDone event."""
     yield from post_barrier(port, group, seq)
-    return CollectiveRequest(
-        port, "barrier", group, seq,
-        barrier_matcher(group, seq),
-        lambda ev: interpret_barrier(ev, port.nic.node_id),
-    )
+    return CollectiveRequest(port, "barrier", group, seq)
 
 
 def nic_iallgather(port: "GmPort", group: ProcessGroup, seq: int, value: Any):
@@ -162,7 +129,7 @@ def nic_iallgather(port: "GmPort", group: ProcessGroup, seq: int, value: Any):
     yield from host_post_data_collective(
         port, group, seq, (value,), contribute_bytes=BYTES_PER_VALUE
     )
-    return _data_request(port, "allgather", group, seq, transform=dict)
+    return CollectiveRequest(port, "allgather", group, seq, transform=dict)
 
 
 def nic_iallreduce(
@@ -172,7 +139,7 @@ def nic_iallreduce(
     yield from host_post_data_collective(
         port, group, seq, (value, op), contribute_bytes=BYTES_PER_VALUE
     )
-    return _data_request(port, "allreduce", group, seq)
+    return CollectiveRequest(port, "allreduce", group, seq)
 
 
 def nic_ireduce(
@@ -188,7 +155,7 @@ def nic_ireduce(
     yield from host_post_data_collective(
         port, group, seq, (value, op), contribute_bytes=BYTES_PER_VALUE
     )
-    return _data_request(port, "reduce", group, seq)
+    return CollectiveRequest(port, "reduce", group, seq)
 
 
 def nic_ialltoall(
@@ -203,7 +170,7 @@ def nic_ialltoall(
         port, group, seq, (dict(blocks),),
         contribute_bytes=BYTES_PER_BLOCK * group.size,
     )
-    return _data_request(port, "alltoall", group, seq, transform=dict)
+    return CollectiveRequest(port, "alltoall", group, seq, transform=dict)
 
 
 def nic_ibcast(
@@ -221,8 +188,4 @@ def nic_ibcast(
         yield from post_broadcast_root(port, group, seq, size_bytes, payload)
     else:
         yield from post_broadcast_recv(port, group, seq)
-    return CollectiveRequest(
-        port, "bcast", group, seq,
-        broadcast_matcher(group, seq),
-        lambda ev: interpret_broadcast(ev, group, port.node_id),
-    )
+    return CollectiveRequest(port, "bcast", group, seq)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.collectives.algorithms import Phase
+from repro.collectives.sequence import SequenceState
 
 
 class CollectiveScheduleLayout:
@@ -100,7 +101,7 @@ class CollectiveSendRecord:
         )
 
 
-class CollectiveGroupState:
+class CollectiveGroupState(SequenceState):
     """Per-(rank, barrier-sequence) progress state on the NIC.
 
     ``arrived_bits`` is the receive-side bit vector: bit per expected
@@ -116,21 +117,16 @@ class CollectiveGroupState:
     ):
         if layout is None:
             layout = CollectiveScheduleLayout(phases)
-        self.seq = seq
+        super().__init__(seq)
         self.phases = phases
         self.created_at = created_at
         self._layout = layout
         self._bit_of = layout.bit_of
         self.arrived_bits = 0
         self.phase = 0
-        self.started = False
-        self.complete = False
         self.in_progress = False
         self.sent_current_phase = False
-        self.start_time: Optional[float] = None
         self.send_record = CollectiveSendRecord(seq, phases, created_at, layout)
-        self.nack_timer = None  # ScheduledCall handle
-        self.nack_rounds = 0
 
     # ------------------------------------------------------------------
     def mark_arrived(self, sender: int) -> bool:
@@ -161,11 +157,6 @@ class CollectiveGroupState:
                 if not self.has_arrived(sender):
                     missing.append((phase_idx, sender))
         return missing
-
-    def cancel_nack_timer(self) -> None:
-        if self.nack_timer is not None:
-            self.nack_timer.cancel()
-            self.nack_timer = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from repro.collectives.failures import FailureReason, Revoked
 from repro.collectives.group import ProcessGroup
 from repro.collectives.messages import BarrierDone, BarrierFailed, BarrierFailure
+from repro.collectives.sequence import interpret_outcome, sequence_matcher
 from repro.quadrics.elan import RdmaDescriptor
 from repro.quadrics.elanlib import ElanPort
 
@@ -278,28 +279,14 @@ class QuadricsChainedBarrier:
 
     # ------------------------------------------------------------------
     def _matcher(self, seq: int):
-        return (
-            lambda ev: isinstance(ev, (BarrierDone, BarrierFailed))
-            and ev.group_id == self.group.group_id
-            and ev.seq == seq
-        )
+        return sequence_matcher(self.group, seq)
 
     def _interpret(self, event):
         """Resolve a completion word to a result or a typed failure."""
-        self._outstanding.discard(getattr(event, "seq", -1))
-        if isinstance(event, BarrierFailed):
-            if event.reason == FailureReason.GROUP_REVOKED.value:
-                raise Revoked(
-                    event.group_id,
-                    event.seq,
-                    node=self.port.node_id,
-                    failed_at=event.failed_at,
-                )
-            raise BarrierFailure(
-                event.group_id, event.seq, event.reason, node=self.port.node_id
-            )
+        self._outstanding.discard(event.seq)
+        done = interpret_outcome(event, self.port.node_id)
         self.barriers_completed += 1
-        return event
+        return done
 
     def revoke(self):
         """Tear down this driver's epoch after a membership change.

@@ -363,11 +363,10 @@ class LanaiNic:
             record.token.packets_outstanding -= 1
             self.tracer.count("gm.crash_record_lost")
         for group_id in sorted(self.engines):
-            handler = getattr(self.engines[group_id], "on_nic_restart", None)
-            if handler is not None:
-                self.sim.process(
-                    handler(), name=f"{self.name}.engine_restart"
-                )
+            self.sim.process(
+                self.engines[group_id].on_nic_restart(),
+                name=f"{self.name}.engine_restart",
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LanaiNic {self.name} busy={self.busy_us:.1f}us>"

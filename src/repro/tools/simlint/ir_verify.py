@@ -42,8 +42,8 @@ Static rules, checked per compiled schedule:
 
 The bounded model checker (**SL207**/**SL208**) explores the
 per-sequence engine automaton — exported as data from
-:data:`repro.collectives.data_engine.SEQUENCE_AUTOMATON`, the same
-table the engine dispatches through — with explicit-state enumeration
+:data:`repro.collectives.sequence.SEQUENCE_AUTOMATON`, the table every
+Myrinet NIC engine dispatches through — with explicit-state enumeration
 under message loss and duplication at small N.  It asserts every
 maximal path terminates with every rank in exactly one of
 ``_complete``/``_fail``: a reachable live state with no enabled
@@ -67,7 +67,7 @@ from repro.collectives.algorithms import (
     closed_form_message_count,
     configure_schedule_cache,
 )
-from repro.collectives.data_engine import SEQUENCE_AUTOMATON
+from repro.collectives.sequence import SEQUENCE_AUTOMATON
 from repro.collectives.schedule_ir import (
     REDUCING_COLLECTIVES,
     CollectiveSchedule,
@@ -598,16 +598,18 @@ _RUNNING, _COMPLETE, _FAILED = 0, 1, 2
 
 #: Every (state, event) the lifecycle can see; a missing entry is an
 #: automaton hole (SL208) — an event the engine absorbs by accident.
-REQUIRED_TRANSITIONS = (
-    ("idle", "start"),
-    ("running", "arrival"),
-    ("running", "stale_arrival"),
-    ("running", "timeout"),
-    ("running", "timeout_exhausted"),
-    ("running", "invalid"),
-    ("running", "ops_done"),
-    ("retired", "arrival"),
-    ("retired", "nack"),
+REQUIRED_TRANSITIONS = tuple(
+    (state, event)
+    for state, events in (
+        ("idle", ("start", "revoke", "restart", "teardown")),
+        ("running", ("arrival", "stale_arrival", "timeout", "timeout_exhausted",
+                     "invalid", "ops_done", "deadline", "peer_dead",
+                     "revoke", "restart", "teardown")),
+        ("complete", ("revoke", "restart", "teardown")),
+        ("retired", ("arrival", "nack")),
+        ("closed", ("start", "arrival", "nack")),
+    )
+    for event in events
 )
 
 

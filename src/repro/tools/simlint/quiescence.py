@@ -170,20 +170,18 @@ def _check_myrinet_nic(cluster, nic, report: QuiescenceReport) -> None:
                   "retry-exhaustion path (which must also free its packet)",
         ))
     for group_id, engine in sorted(nic.engines.items()):
-        states = getattr(engine, "states", None)
+        states = engine.states
         if not states:
             continue
-        armed = sum(
-            1 for s in states.values() if getattr(s, "nack_timer", None) is not None
-        )
+        armed = sum(1 for s in states.values() if s.timer is not None)
         report.findings.append(Finding(
             "SL105", _where(cluster, unit), 0,
             f"collective engine for group {group_id} retains "
             f"{len(states)} unretired state(s) (seqs {sorted(states)[:4]}"
-            f"{'...' if len(states) > 4 else ''}; {armed} NACK timer(s) "
+            f"{'...' if len(states) > 4 else ''}; {armed} timer(s) "
             "armed)",
-            fixit="engine states must be deleted on completion and their "
-                  "NACK timers cancelled",
+            fixit="engine states must be retired on completion and their "
+                  "timers cancelled",
         ))
 
 

@@ -98,7 +98,7 @@ class TestCollectiveGroupState:
 
     def test_cancel_timer_without_timer(self):
         st_ = CollectiveGroupState(0, PHASES, created_at=0.0)
-        st_.cancel_nack_timer()  # no-op
+        st_.cancel_timer()  # no-op
 
 
 # ----------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_unknown_engine_command_fails(cluster):
     group = ProcessGroup([0, 1])
     NicCollectiveBarrierEngine(cluster.nics[0], group, 0)
     cluster.nics[0].post_engine_command((group.group_id, "reticulate", 0))
-    with pytest.raises(ValueError, match="unknown engine command"):
+    with pytest.raises(ValueError, match="unknown coll command"):
         cluster.sim.run()
 
 

@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 from repro.collectives.algorithms import SCHEDULE_CACHE, configure_schedule_cache
-from repro.collectives.data_engine import SEQUENCE_AUTOMATON
+from repro.collectives.sequence import SEQUENCE_AUTOMATON
 from repro.collectives.schedule_ir import (
     CollectiveSchedule,
     ScheduleOp,
