@@ -18,6 +18,13 @@ the NIC pipelines them while the host computes.
   queue, returns ``True`` once the completion has been consumed (the
   result is then in ``request.result``).  Failures raise from ``test``
   exactly as from ``wait``.
+- ``request.busy_wait()`` — generator; the host spins on ``test`` until
+  the collective completes and returns its result.  It is exactly
+  ``while not (yield from r.test()): pass`` (same outcome, end time and
+  host busy time) but parks between arrivals at the event queue
+  instead of simulating every empty poll.  Unlike ``wait`` it pays the
+  poll cost on the host CPU the whole time, which is what a process
+  spinning on a completion flag does.
 
 Calling ``wait`` after the request completed (or after a successful
 ``test``) returns the stored result without touching the event queue,
@@ -105,6 +112,21 @@ class CollectiveRequest:
         elif self.failure is not None:
             raise self.failure
         return True
+
+    def busy_wait(self):
+        """Spin until the collective completes; returns its result.
+
+        Exactly ``while not (yield from self.test()): pass`` — the same
+        outcome, end time and host busy time, failures raised the same
+        way — but the empty polls between two arrivals at the host
+        event queue are not simulated one by one
+        (:meth:`repro.host.HostCpu.busy_poll`).
+        """
+        if not self.done:
+            self._settle((yield from self.port.busy_poll_matching(self._matcher)))
+        elif self.failure is not None:
+            raise self.failure
+        return self.result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "done" if self.done else "in-flight"

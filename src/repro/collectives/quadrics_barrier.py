@@ -425,13 +425,34 @@ class QuadricsBarrierRequest:
         event = yield from driver.port.poll_host_event(driver._matcher(self.seq))
         if event is None:
             return False
+        self._settle(event)
+        return True
+
+    def busy_wait(self):
+        """Spin until the barrier resolves; returns its result.
+
+        Exactly ``while not (yield from self.test()): pass`` — the same
+        outcome, end time and host busy time, typed failures raised the
+        same way — but the empty polls between two arrivals at the host
+        event queue are not simulated one by one
+        (:meth:`repro.host.HostCpu.busy_poll`).
+        """
+        driver = self.driver
+        if self.done or not driver.ops:
+            yield from self.test()  # resolves without polling
+        else:
+            self._settle((yield from driver.port.busy_poll_host_event(
+                driver._matcher(self.seq)
+            )))
+        return self.result
+
+    def _settle(self, event) -> None:
         self.done = True
         try:
-            self.result = driver._interpret(event)
+            self.result = self.driver._interpret(event)
         except (Revoked, BarrierFailure) as exc:
             self.failure = exc
             raise
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "done" if self.done else "in-flight"

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
-from repro.sim import ArbitratedResource, Simulator, Tracer
+from repro.sim import ArbitratedResource, SimEvent, Simulator, Store, Tracer
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ class HostCpu:
         # host is the paper's straggler scenario — it stretches barrier
         # skew without touching the network model.
         self.slowdown = 1.0
+        # The busy-poll collapsed on this CPU, if any (see busy_poll).
+        self._spin: Optional[_Spin] = None
 
     def compute(self, us: float, label: Optional[str] = None):
         """Occupy the CPU for ``us`` microseconds (yield from a process).
@@ -87,6 +89,10 @@ class HostCpu:
         if us < 0:
             raise ValueError(f"negative compute time {us}")
         us = us * self.slowdown
+        if self._spin is not None:
+            # Another process contends with a collapsed busy-poll: the
+            # spinner must let go of the CPU at its current boundary.
+            self._nudge_spin()
         yield self._cpu.request()
         yield us
         self._cpu.release()
@@ -96,5 +102,117 @@ class HostCpu:
             now = self.sim.now
             tracer.add_span(now - us, now, self.name, label or "compute")
 
+    def busy_poll(self, queue: Store, drain: Callable[[], Any]):
+        """Poll ``queue`` until ``drain()`` returns a result; return it.
+
+        The result, the end time and ``busy_us`` are exactly those of::
+
+            while True:
+                yield from self.compute(self.params.poll_us, "poll")
+                result = drain()
+                if result is not None:
+                    return result
+
+        where ``drain`` does not yield: it moves what ``queue`` holds
+        into its caller's buffer and returns the first match, or
+        ``None``.  A poll can only find something the poll before it
+        did not after an item enters ``queue`` or after another process
+        computes on this CPU (a co-waiter buffers what it pops right
+        after its own poll), so instead of simulating every poll the
+        spinner holds the CPU unit and parks on a put-watch of
+        ``queue``.  The poll boundaries ``T0 + p, T0 + 2p, ...`` (``p =
+        poll_us * slowdown``, ``T0`` the grant) are built by repeated
+        float addition, exactly as the loop's sleeps add up; a wake
+        lands on the first boundary at or after its cause, so an
+        arrival exactly on a boundary is seen there, and every elapsed
+        poll is charged to ``busy_us`` in order.
+
+        Contention materializes the spin: a compute by another process
+        wakes the spinner at its current boundary, where it releases
+        the CPU and re-requests it like the loop.  It polls explicitly
+        while anyone else is queued for the CPU or has computed since
+        its last poll, and parks again once uncontended.  With tracing
+        on (per-poll spans are the observable), with a second spinner
+        on this CPU or ``queue``, or with a zero poll cost the loop runs
+        as written.  ``slowdown`` is a setup-time knob: a spin reads it
+        once, when it starts.
+        """
+        us = self.params.poll_us * self.slowdown
+        if (
+            self._spin is not None
+            or queue.put_watch is not None
+            or self.tracer.enabled
+            or not us > 0
+        ):
+            while True:
+                yield from self.compute(self.params.poll_us, "poll")
+                result = drain()
+                if result is not None:
+                    return result
+        sim = self.sim
+        cpu = self._cpu
+        spin = self._spin = _Spin(us, f"{queue.name}.busy_wait")
+        nudge = queue.put_watch = self._nudge_spin
+        try:
+            while True:
+                yield cpu.request()
+                spin.origin = sim.now
+                spin.wake = SimEvent(sim, name=spin.name)
+                spin.resume_set = False
+                if spin.dirty:
+                    nudge()  # poll explicitly: wake at the first boundary
+                polls = yield spin.wake
+                spin.wake = None
+                cpu.release()
+                busy = self.busy_us
+                for _ in range(polls):  # one addition per poll, as the loop does
+                    busy += us
+                self.busy_us = busy
+                result = drain()
+                if result is not None:
+                    return result
+                spin.dirty = cpu.queue_length > 0
+        finally:
+            queue.put_watch = None
+            self._spin = None
+
+    def _nudge_spin(self) -> None:
+        """Something the next poll may see happened: wake the parked
+        spinner at the first boundary at or after now (or, between its
+        poll and its next grant, make that grant poll explicitly)."""
+        spin = self._spin
+        if spin.wake is None:
+            spin.dirty = True
+            return
+        if spin.resume_set:
+            return  # already waking at the first boundary >= an earlier cause
+        spin.resume_set = True
+        now = self.sim.now
+        boundary, polls = spin.origin, 0
+        while True:
+            boundary += spin.period
+            polls += 1
+            if boundary >= now:
+                break
+        self.sim.schedule_at(boundary, spin.wake.succeed, polls)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<HostCpu {self.name} busy={self.busy_us:.1f}us>"
+
+
+class _Spin:
+    """One busy-poll.  While parked (``wake`` set) the spinner holds the
+    CPU from ``origin`` and would poll every ``period``; ``wake``
+    resumes it with the number of polls elapsed."""
+
+    __slots__ = ("period", "name", "origin", "wake", "resume_set", "dirty")
+
+    def __init__(self, period: float, name: str):
+        self.period = period
+        self.name = name  # the wake event's name (quiescence reads it)
+        self.origin = 0.0
+        self.wake: Optional[SimEvent] = None
+        self.resume_set = False
+        # The first poll is always explicit: what the queue and the
+        # caller's buffer already hold is only known to ``drain``.
+        self.dirty = True

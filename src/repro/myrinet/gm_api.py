@@ -12,6 +12,7 @@ Host costs (library overhead, polling) come from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.host import HostCpu
@@ -184,6 +185,24 @@ class GmPort:
                 return event
             self._pending.append(event)
 
+    def _drain_match(self, matches: Callable[[Any], bool]):
+        """The non-yielding half of one poll: move whatever the NIC has
+        posted into the buffer (firing send-token completions as they
+        are seen), then pop and return the first buffered event
+        satisfying ``matches``, or ``None``."""
+        queue = self.nic.recv_event_queue
+        pending = self._pending
+        while len(queue) > 0 and queue.getters_waiting == 0:
+            ev = queue.try_get()
+            if isinstance(ev, SendToken) and ev.completion is not None:
+                if not ev.completion.triggered:
+                    ev.completion.succeed(ev)
+            pending.append(ev)
+        for i, ev in enumerate(pending):
+            if matches(ev):
+                return pending.pop(i)
+        return None
+
     def poll_matching(self, matches: Callable[[Any], bool]):
         """One non-blocking poll for an event satisfying ``matches``.
 
@@ -193,23 +212,24 @@ class GmPort:
         :meth:`recv_matching`; this is the ``test`` half of the
         non-blocking collective requests.
         """
-        params = self.cpu.params
-        queue = self.nic.recv_event_queue
-        yield from self.cpu.compute(params.poll_us, "poll")
-        while len(queue) > 0 and queue.getters_waiting == 0:
-            ev = queue.try_get()
-            if isinstance(ev, SendToken) and ev.completion is not None:
-                if not ev.completion.triggered:
-                    ev.completion.succeed(ev)
-            self._pending.append(ev)
-        for i, ev in enumerate(self._pending):
-            if matches(ev):
-                self._pending.pop(i)
-                yield from self.cpu.compute(params.recv_overhead_us, "recv_overhead")
-                if isinstance(ev, GmRecvEvent):
-                    yield from self.provide_receive_buffer()
-                return ev
-        return None
+        yield from self.cpu.compute(self.cpu.params.poll_us, "poll")
+        event = self._drain_match(matches)
+        if event is not None:
+            yield from self._consume(event)
+        return event
+
+    def busy_poll_matching(self, matches: Callable[[Any], bool]):
+        """Poll until an event satisfying ``matches`` is consumed.
+
+        Exactly ``while (ev := poll_matching(matches)) is None`` — same
+        event, end time and host busy time — without simulating the
+        empty polls (:meth:`repro.host.HostCpu.busy_poll`).
+        """
+        event = yield from self.cpu.busy_poll(
+            self.nic.recv_event_queue, partial(self._drain_match, matches)
+        )
+        yield from self._consume(event)
+        return event
 
     def recv_from(self, src: int):
         """Receive the next data message from ``src``."""

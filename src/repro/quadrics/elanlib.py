@@ -14,6 +14,7 @@ Provides the pieces the paper compares against and builds on:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.host import HostCpu
@@ -159,6 +160,19 @@ class ElanPort:
         )
         return ev
 
+    def _drain_match(self, matches: Callable[[Any], bool]):
+        """The non-yielding half of one host-event poll: move whatever
+        the NIC has posted into the buffer, then pop and return the
+        first buffered event satisfying ``matches``, or ``None``."""
+        queue = self.nic.host_events
+        pending = self._host_event_pending
+        while len(queue) > 0 and queue.getters_waiting == 0:
+            pending.append(queue.try_get())
+        for i, ev in enumerate(pending):
+            if matches(ev):
+                return pending.pop(i)
+        return None
+
     def poll_host_event(self, matches: Callable[[Any], bool]):
         """One non-blocking poll for a host event.
 
@@ -169,16 +183,24 @@ class ElanPort:
         non-blocking chained barrier.
         """
         params = self.cpu.params
-        queue = self.nic.host_events
         yield from self.cpu.compute(params.poll_us, "poll")
-        while len(queue) > 0 and queue.getters_waiting == 0:
-            self._host_event_pending.append(queue.try_get())
-        for i, ev in enumerate(self._host_event_pending):
-            if matches(ev):
-                self._host_event_pending.pop(i)
-                yield from self.cpu.compute(params.recv_overhead_us, "recv_overhead")
-                return ev
-        return None
+        ev = self._drain_match(matches)
+        if ev is not None:
+            yield from self.cpu.compute(params.recv_overhead_us, "recv_overhead")
+        return ev
+
+    def busy_poll_host_event(self, matches: Callable[[Any], bool]):
+        """Poll until a host event satisfying ``matches`` is consumed.
+
+        Exactly ``while (ev := poll_host_event(matches)) is None`` —
+        same event, end time and host busy time — without simulating
+        the empty polls (:meth:`repro.host.HostCpu.busy_poll`).
+        """
+        ev = yield from self.cpu.busy_poll(
+            self.nic.host_events, partial(self._drain_match, matches)
+        )
+        yield from self.cpu.compute(self.cpu.params.recv_overhead_us, "recv_overhead")
+        return ev
 
 
 # ----------------------------------------------------------------------

@@ -250,6 +250,32 @@ class Simulator:
                 bucket.append(entry)
         self._pending += 1
 
+    def schedule_at(self, time: float, fn: Callable, *args: Any) -> None:
+        """Schedule ``fn(*args)`` at absolute ``time``, detached.
+
+        ``time`` must not be in the past.  Use it where the timestamp
+        itself is the contract: ``now + (time - now)`` can round to a
+        neighbouring float (no delay at all may hit ``time`` exactly),
+        and a busy-poll wake must land on the very float its poll grid
+        reached by repeated addition.  Kernel subclasses that replace
+        the queue storage must override it alongside
+        :meth:`schedule_detached`.
+        """
+        if time < self._now:
+            raise ValueError(f"time {time!r} is in the past (now={self._now!r})")
+        self._seq = seq = self._seq + 1
+        entry = (seq, fn, args)
+        if time == self._now:  # routed as in schedule()
+            heappush(self._current, entry)
+        else:
+            bucket = self._buckets.get(time)
+            if bucket is None:
+                self._buckets[time] = [entry]
+                heappush(self._times, time)
+            else:
+                bucket.append(entry)
+        self._pending += 1
+
     def schedule_now(self, fn: Callable, *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current timestamp, detached.
 

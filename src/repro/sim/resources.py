@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.events import SimEvent
@@ -266,6 +266,12 @@ class Store:
         self._items: deque[Any] = deque()
         self._getters: deque[SimEvent] = deque()
         self._putters: deque[tuple[SimEvent, Any]] = deque()
+        #: The put-watch: called with no arguments each time an item
+        #: enters the store (also one handed straight to a waiting
+        #: getter).  A host busy-polling this queue parks on it instead
+        #: of simulating every empty poll
+        #: (:meth:`repro.host.HostCpu.busy_poll`).
+        self.put_watch: Optional[Callable[[], None]] = None
 
     # -- introspection --------------------------------------------------
     def __len__(self) -> int:
@@ -293,6 +299,8 @@ class Store:
             self._do_put(item)
             ev.succeed(item)
             self._serve_getters()
+            if self.put_watch is not None:
+                self.put_watch()
         else:
             self._putters.append((ev, item))
         return ev
@@ -339,6 +347,8 @@ class Store:
             self._do_put(item)
             ev.succeed(item)
             self._serve_getters()
+            if self.put_watch is not None:
+                self.put_watch()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} items={len(self._items)}>"

@@ -920,10 +920,10 @@ def _fuzz_myrinet_op(cluster, ctx, comm, op):
         if result != token:
             return f"wrong:bcast:{result!r}"
         return "ok:bcast"
-    # ibarrier: request-handle form, a few non-blocking polls.
+    # ibarrier: request-handle form; the host spins on test() until the
+    # barrier resolves (a typed failure raises from the spin).
     request = yield from comm.ibarrier()
-    while not (yield from request.test()):
-        pass
+    yield from request.busy_wait()
     return "ok:ibarrier"
 
 
@@ -932,8 +932,7 @@ def _fuzz_quadrics_op(comm, op):
         yield from comm.barrier()
         return "ok:barrier"
     request = yield from comm.ibarrier()
-    while not (yield from request.test()):
-        pass
+    yield from request.busy_wait()
     return "ok:ibarrier"
 
 

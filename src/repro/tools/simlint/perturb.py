@@ -82,6 +82,12 @@ class TieBreakSimulator(Simulator):
         self._seq = seq = self._seq + 1
         heappush(self._tb_heap, (self._now + delay, 0, self._draw(), seq, fn, args))
 
+    def schedule_at(self, time: float, fn: Callable, *args: Any) -> None:
+        if time < self._now:
+            raise ValueError(f"time {time!r} is in the past (now={self._now!r})")
+        self._seq = seq = self._seq + 1
+        heappush(self._tb_heap, (time, 0, self._draw(), seq, fn, args))
+
     def schedule_now(self, fn: Callable, *args: Any) -> None:
         self._seq = seq = self._seq + 1
         heappush(self._tb_heap, (self._now, 0, self._draw(), seq, fn, args))

@@ -7,7 +7,10 @@ every per-destination queue empty, every collective state retired, every
 timer disarmed, every tracer span closed.  Anything still held is a leak
 that compounds across iterations (the exact class of bug the GM pool or
 a NACK timer makes easy to write), and any process still blocked on an
-event nobody can fire is a deadlock.
+event nobody can fire is a deadlock.  A host busy-waiting on a queue
+nothing will fill would poll forever; its collapsed spin
+(:meth:`repro.host.HostCpu.busy_poll`) parks instead, so the run ends
+and the spin is reported as "busy-waiting on" that queue.
 
 :func:`check_quiescent` walks a cluster after ``sim.run()`` returned and
 reports violations as SL102-SL106 findings, plus a wait-for graph of the
@@ -30,6 +33,8 @@ from repro.tools.simlint.findings import Finding
 
 #: Event-name suffix of a Store.get — the park position of a service loop.
 _BENIGN_PARK_SUFFIX = ".get"
+#: Event-name suffix of a parked host busy-poll (``<queue>.busy_wait``).
+_BUSY_WAIT_SUFFIX = ".busy_wait"
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,9 @@ def _check_processes(
             )
         elif event_name.endswith(".completion"):
             detail = f"blocked joining {event_name[:-11]!r}, which never finished"
+        elif event_name.endswith(_BUSY_WAIT_SUFFIX):
+            queue = event_name[: -len(_BUSY_WAIT_SUFFIX)]
+            detail = f"busy-waiting on {queue!r}, which nothing will ever fill"
         else:
             detail = f"blocked on event {event_name!r} that can no longer fire"
         report.findings.append(Finding(

@@ -500,6 +500,44 @@ class TestBucketScopedReaping:
         assert sim._cancelled == 0
 
 
+class TestScheduleAt:
+    """``schedule_at`` lands on the exact float asked for, even where
+    ``now + (time - now)`` rounds away from it."""
+
+    NOW = 0.15382084379208297
+    TIME = 0.425  # NOW + (TIME - NOW) != TIME
+
+    def kernels(self):
+        from repro.sim.rng import DeterministicRng
+        from repro.tools.simlint import TieBreakSimulator
+
+        return [Simulator(), TieBreakSimulator(DeterministicRng(0, "test/at"))]
+
+    def test_lands_exactly_where_a_delay_would_not(self):
+        assert self.NOW + (self.TIME - self.NOW) != self.TIME
+        for sim in self.kernels():
+            seen = []
+            sim.schedule(self.NOW, lambda: sim.schedule_at(
+                self.TIME, lambda: seen.append(sim.now)
+            ))
+            sim.run()
+            assert seen == [self.TIME]
+
+    def test_now_joins_the_current_instant_and_past_is_rejected(self):
+        for sim in self.kernels():
+            seen = []
+
+            def at_two():
+                sim.schedule_at(2.0, seen.append, "same instant")
+                with pytest.raises(ValueError):
+                    sim.schedule_at(1.5, seen.append, "past")
+
+            sim.schedule(2.0, at_two)
+            sim.run()
+            assert seen == ["same instant"]
+            assert sim.now == 2.0
+
+
 def test_arbitrated_key_fn_runs_once_per_process_name():
     from repro.sim import ArbitratedResource
 

@@ -45,6 +45,11 @@ class NestedKeyTieBreak(Simulator):
             raise ValueError(f"negative delay {delay!r}")
         self._push(self._now + delay, 0, fn, args)
 
+    def schedule_at(self, time, fn, *args):
+        if time < self._now:
+            raise ValueError(f"time {time!r} is in the past")
+        self._push(time, 0, fn, args)
+
     def schedule_now(self, fn, *args):
         self._push(self._now, 0, fn, args)
 
@@ -125,6 +130,9 @@ class _Recording:
 
     def schedule_detached(self, delay, fn, *args):
         super().schedule_detached(delay, self._logged(fn), *args)
+
+    def schedule_at(self, time, fn, *args):
+        super().schedule_at(time, self._logged(fn), *args)
 
     def schedule_now(self, fn, *args):
         super().schedule_now(self._logged(fn), *args)
