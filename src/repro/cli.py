@@ -80,11 +80,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 _TRACE_DEFAULT_BARRIER = {"quadrics": "nic-chained", "myrinet": "nic-collective"}
-_TRACE_DEFAULT_PROFILE = {"quadrics": "elan3_piii700", "myrinet": "lanai_xp_xeon2400"}
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.cluster import build_cluster, get_profile, run_barrier_experiment
+    from repro.cluster.profiles import DEFAULT_PROFILE
     from repro.sim import Tracer
     from repro.tools import (
         ascii_timeline,
@@ -94,7 +94,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.tools.runcache import point_request, resolve_cache
 
-    profile = get_profile(args.profile or _TRACE_DEFAULT_PROFILE[args.network])
+    profile = get_profile(args.profile or DEFAULT_PROFILE[args.network])
     if profile.network != args.network:
         print(f"profile {profile.name} is not a {args.network} profile", file=sys.stderr)
         return 2

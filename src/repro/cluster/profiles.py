@@ -230,6 +230,11 @@ PROFILES: dict[str, HardwareProfile] = {
     ),
 }
 
+#: The profile each network runs on when a command names none: the
+#: chaos campaign, the fuzzer, workloads, traces and the degradation
+#: report.
+DEFAULT_PROFILE = {"myrinet": "lanai_xp_xeon2400", "quadrics": "elan3_piii700"}
+
 
 def get_profile(name: str) -> HardwareProfile:
     """Look up a hardware profile by name.

@@ -20,19 +20,15 @@ repro chaos``).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cluster.builder import build_cluster
-from repro.cluster.profiles import get_profile
+from repro.cluster.profiles import DEFAULT_PROFILE, get_profile
 from repro.cluster.runner import MYRINET_BARRIERS, QUADRICS_BARRIERS
-from repro.network.faults import FaultInjector
+from repro.network.faults import rate_faults
 from repro.sim import DeterministicRng
 
 LOSS_RATES = (0.0, 0.01, 0.02, 0.05)
 JITTER_PROBABILITY = 0.2
 JITTER_US = 5.0
-
-_PROFILES = {"myrinet": "lanai_xp_xeon2400", "quadrics": "elan3_piii700"}
 
 
 def _faulted_latency(
@@ -46,33 +42,21 @@ def _faulted_latency(
     corrupt_probability: float = 0.0,
     delay_probability: float = 0.0,
     delay_jitter_us: float = 0.0,
-) -> tuple[float, dict[str, int]]:
-    """Mean latency (µs) and recovery counters for one faulted sweep point."""
+) -> float:
+    """Mean latency (µs) of one faulted sweep point."""
     from repro.cluster.runner import run_barrier_experiment
 
-    faults: Optional[FaultInjector] = None
-    if drop_probability or corrupt_probability or delay_probability:
-        faults = FaultInjector(
-            rng=DeterministicRng(seed, "chaos/degradation"),
-            drop_probability=drop_probability,
-            corrupt_probability=corrupt_probability,
-            delay_probability=delay_probability,
-            delay_jitter_us=delay_jitter_us,
-        )
-    cluster = build_cluster(get_profile(_PROFILES[network]), nodes, faults=faults)
-    result = run_barrier_experiment(
-        cluster, barrier, iterations=iterations, warmup=warmup, seed=seed
+    faults = rate_faults(
+        DeterministicRng(seed, "chaos/degradation"),
+        drop_probability=drop_probability,
+        corrupt_probability=corrupt_probability,
+        delay_probability=delay_probability,
+        delay_jitter_us=delay_jitter_us,
     )
-    recovery = {
-        key: count
-        for key, count in cluster.tracer.counters.items()
-        if key in (
-            "gm.retransmit", "gm.rx_crc_drop", "coll.nack_timeout",
-            "coll.nack_retransmit", "wire.dropped", "wire.corrupted",
-            "wire.delayed",
-        ) and count
-    }
-    return result.mean_latency_us, recovery
+    cluster = build_cluster(get_profile(DEFAULT_PROFILE[network]), nodes, faults=faults)
+    return run_barrier_experiment(
+        cluster, barrier, iterations=iterations, warmup=warmup, seed=seed
+    ).mean_latency_us
 
 
 def _sweep_table(
@@ -96,7 +80,7 @@ def _sweep_table(
         cells = []
         clean = None
         for rate in rates:
-            latency, _ = _faulted_latency(
+            latency = _faulted_latency(
                 network, barrier, nodes, iterations, warmup, seed,
                 **{fault_kw: rate},
             )
@@ -146,10 +130,10 @@ def degradation_report(
         ("quadrics", b) for b in QUADRICS_BARRIERS if b != "hgsync"
     ]
     for network, barrier in jitter_rows:
-        clean, _ = _faulted_latency(
+        clean = _faulted_latency(
             network, barrier, nodes, iterations, warmup, seed
         )
-        jittered, _ = _faulted_latency(
+        jittered = _faulted_latency(
             network, barrier, nodes, iterations, warmup, seed,
             delay_probability=JITTER_PROBABILITY, delay_jitter_us=JITTER_US,
         )

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.sim import SimEvent
-
-_token_ids = itertools.count()
 
 
 @dataclass
@@ -27,8 +24,8 @@ class SendToken:
     payload: Any = None
     kind: str = "data"
     notify_host: bool = True
-    completion: Optional[SimEvent] = None
-    token_id: int = field(default_factory=lambda: next(_token_ids))
+    # A handle, equal only to itself: tokens compare by content.
+    completion: Optional[SimEvent] = field(default=None, compare=False)
     enqueued_at: Optional[float] = None
     # Per-packet reliability progress, maintained by the MCP send path.
     packets_outstanding: int = 0
@@ -77,4 +74,3 @@ class RecvToken:
     """A host-posted receive buffer registration."""
 
     buffer_bytes: int = 4096
-    token_id: int = field(default_factory=lambda: next(_token_ids))

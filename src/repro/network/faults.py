@@ -391,3 +391,12 @@ class FaultInjector:
             f"<FaultInjector p={self.drop_probability} plans={len(self.plans)}"
             f" dropped={self.dropped}/{self.inspected}>"
         )
+
+
+def rate_faults(rng: DeterministicRng, **rates: float) -> Optional[FaultInjector]:
+    """A :class:`FaultInjector` for probabilistic ``rates`` (its keyword
+    arguments) drawing from ``rng``, or ``None`` when every probability
+    is zero: a clean wire inspects nothing."""
+    if not any(v for k, v in rates.items() if k.endswith("_probability")):
+        return None
+    return FaultInjector(rng=rng, **rates)

@@ -24,15 +24,22 @@ Scenarios are declarative data (:class:`ChaosScenario`): probabilistic
 fault rates, a link flap / dead link / NIC crash window, a host
 slowdown, and per-protocol parameter overrides (e.g. a reduced retry
 budget so a dead link exhausts it within the scenario).
+
+The module also holds the steps every fault driver shares: the
+campaign, the seeded fuzzer below, and the kill mode of
+:mod:`repro.workload.driver`.  They are :func:`arm_detectors`,
+:func:`launch_kills` (killers plus the kill -> detect -> repair
+controller), :func:`audit_run` and :class:`ReplayReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from repro.cluster.builder import build_cluster
-from repro.cluster.profiles import HardwareProfile, get_profile
+from repro.cluster.profiles import DEFAULT_PROFILE, HardwareProfile, get_profile
 from repro.cluster.runner import (
     MYRINET_BARRIERS,
     QUADRICS_BARRIERS,
@@ -52,13 +59,22 @@ from repro.collectives import (
     nic_broadcast_root,
     nic_ibarrier,
 )
-from repro.network.faults import FaultInjector
+from repro.network.faults import FaultInjector, rate_faults
 from repro.sim import DeterministicRng, Simulator
 from repro.tools.runcache import RunCache, run_request
-from repro.tools.simlint.perturb import TieBreakSimulator
+from repro.tools.simlint.perturb import diverging_rounds
 from repro.tools.simlint.quiescence import check_quiescent
 
-_DEFAULT_PROFILE = {"myrinet": "lanai_xp_xeon2400", "quadrics": "elan3_piii700"}
+#: The reduced GM recovery budget of the scenarios that kill a link or a
+#: node, as ``(field, value)`` overrides: a dead peer exhausts it, and a
+#: dying epoch's ops resolve, within the scenario's recovery window
+#: instead of the production budget's.
+SHRUNK_GM_BUDGET = (
+    ("ack_timeout_us", 200.0),
+    ("max_retries", 3),
+    ("nack_timeout_us", 300.0),
+    ("nack_max_rounds", 4),
+)
 
 
 @dataclass(frozen=True)
@@ -102,7 +118,7 @@ class ChaosScenario:
     hw_fallback: bool = True
 
     def __post_init__(self) -> None:
-        if self.network not in _DEFAULT_PROFILE:
+        if self.network not in DEFAULT_PROFILE:
             raise ValueError(f"unknown network {self.network!r}")
         if self.expect not in ("recover", "fail", "degrade"):
             raise ValueError(f"unknown expectation {self.expect!r}")
@@ -127,18 +143,14 @@ class ChaosScenario:
         )
 
 
-@dataclass
-class ChaosRunResult:
-    """One scenario x scheme run: outcomes, counters, and violations."""
+@dataclass(kw_only=True)
+class FaultRun:
+    """What every audited fault run reports besides its own outcomes."""
 
-    scenario: str
-    barrier: str
-    nodes: int
-    iterations: int
-    #: per-rank tuple of per-seq outcomes ("ok" or "fail:<reason>").
-    outcomes: tuple[tuple[str, ...], ...] = ()
-    #: sim time when the last rank finished each barrier seq.
-    seq_end_us: tuple[float, ...] = ()
+    #: The driver's own observables, ahead of the shared ones in
+    #: :meth:`comparable`.
+    _OBSERVED = ()
+
     end_us: float = 0.0
     counters: dict[str, int] = field(default_factory=dict)
     fault_stats: dict = field(default_factory=dict)
@@ -149,39 +161,171 @@ class ChaosRunResult:
     def ok(self) -> bool:
         return not self.violations and not self.quiescence
 
+    def comparable(self) -> tuple:
+        """The observables that must be bit-identical under tie-break
+        perturbation of the event schedule."""
+        return (
+            *(getattr(self, name) for name in self._OBSERVED),
+            self.end_us,
+            tuple(sorted(self.counters.items())),
+            repr(self.fault_stats),
+        )
+
+
+@dataclass
+class ChaosRunResult(FaultRun):
+    """One scenario x scheme run: outcomes, counters, and violations."""
+
+    _OBSERVED = ("outcomes", "seq_end_us")
+
+    scenario: str
+    barrier: str
+    nodes: int
+    iterations: int
+    #: per-rank tuple of per-seq outcomes ("ok" or "fail:<reason>").
+    outcomes: tuple[tuple[str, ...], ...] = ()
+    #: sim time when the last rank finished each barrier seq.
+    seq_end_us: tuple[float, ...] = ()
+
+    @property
+    def key(self) -> str:
+        return f"{self.scenario}/{self.barrier}"
+
     @property
     def failures(self) -> int:
         return sum(
             1 for rank in self.outcomes for o in rank if o.startswith("fail:")
         )
 
-    def comparable(self) -> tuple:
-        """The observables that must be bit-identical under tie-break
-        perturbation of the event schedule."""
-        return (
-            self.outcomes,
-            self.seq_end_us,
-            self.end_us,
-            tuple(sorted(self.counters.items())),
-            repr(self.fault_stats),
-        )
-
     def __str__(self) -> str:
-        verdict = "ok" if self.ok else "FAILED"
         return (
-            f"{self.scenario}/{self.barrier} N={self.nodes}: {verdict} "
-            f"({self.failures} barrier failure(s), end={self.end_us:.0f}us)"
+            f"{self.key:<28} failures={self.failures:<3} "
+            f"end={self.end_us:>10.1f}us"
         )
 
 
-def _apply_overrides(profile: HardwareProfile, scenario: ChaosScenario):
-    if scenario.gm_overrides:
-        profile = replace(profile, gm=replace(profile.gm, **dict(scenario.gm_overrides)))
-    if scenario.elan_overrides:
-        profile = replace(
-            profile, elan=replace(profile.elan, **dict(scenario.elan_overrides))
-        )
+def with_overrides(
+    profile: HardwareProfile,
+    gm: tuple[tuple[str, float], ...] = (),
+    elan: tuple[tuple[str, float], ...] = (),
+) -> HardwareProfile:
+    """``profile`` with ``(field, value)`` overrides of its GM and Elan
+    parameters."""
+    if gm:
+        profile = replace(profile, gm=replace(profile.gm, **dict(gm)))
+    if elan:
+        profile = replace(profile, elan=replace(profile.elan, **dict(elan)))
     return profile
+
+
+# ----------------------------------------------------------------------
+# The steps every fault driver shares: the chaos campaign, the fuzzer
+# and the workload driver's kill mode (repro.workload.driver).
+# ----------------------------------------------------------------------
+def arm_detectors(cluster, rng: DeterministicRng, spec) -> None:
+    """A heartbeat failure detector on every NIC, drawing from
+    ``rng.substream("hb")``, timed by ``spec`` (a fuzz plan or kill)."""
+    hb_rng = rng.substream("hb")
+    for nic in cluster.nics:
+        nic.enable_failure_detector(
+            range(cluster.n), rng=hb_rng, period_us=spec.hb_period_us,
+            timeout_us=spec.hb_timeout_us, horizon_us=spec.horizon_us,
+        )
+
+
+def launch_kills(cluster, kills, deadline_us: float, repair, note, poll_us: float, name: str):
+    """Start a killer per ``(victim, at_us)`` of ``kills``, then the
+    controller ``name`` that takes them in order: it polls every
+    ``poll_us`` until every live survivor has convicted the victim, then
+    calls ``repair(k, victim)``, the caller's repair-and-open-gate
+    action, and stops if that returns False.  A conviction missing
+    ``deadline_us`` after the kill goes to ``note``, and the repair
+    happens anyway: ranks parked on the gate must never wait forever."""
+    sim, nics = cluster.sim, cluster.nics
+
+    def killer(victim: int, at_us: float):
+        yield at_us
+        nics[victim].crashed = True
+
+    def controller():
+        for k, (victim, at_us) in enumerate(kills):
+            if sim.now < at_us:
+                yield at_us - sim.now
+            # The survivor predicate re-evaluates every poll: a node
+            # that crashes *during* this detection window (a
+            # mid-recovery kill) stops owing a conviction — its own
+            # detector went down with it.
+            while not all(
+                nics[s].membership.is_dead(victim)
+                for s in range(cluster.n)
+                if s != victim and not nics[s].crashed
+            ):
+                if sim.now > at_us + deadline_us:
+                    note(
+                        f"kill {k}: victim n{victim} not convicted by every "
+                        f"survivor within {deadline_us:.0f}us"
+                    )
+                    break
+                yield poll_us
+            # Repair and open the gate with no yield in between: a
+            # survivor must never start an op on the new epoch before
+            # the gate moves, or its sequence numbering would split.
+            if not repair(k, victim):
+                return
+
+    procs = [sim.process(killer(*kill), name=f"killer@{kill[0]}") for kill in kills]
+    return procs + [sim.process(controller(), name=name)]
+
+
+def outcome_violations(who: str, outcomes) -> list[str]:
+    """The wrong data results (``wrong:...``) and the failures whose
+    reason does not classify (``fail:...:<reason>``) among ``who``'s
+    outcome strings: every failure a rank sees must be typed."""
+    found = []
+    for o in outcomes:
+        if o.startswith("wrong:"):
+            found.append(f"{who} computed a wrong result: {o}")
+        elif o.startswith("fail:"):
+            try:
+                classify_reason(o.rsplit(":", 1)[1])
+            except ValueError:
+                found.append(f"{who} surfaced an untyped failure reason: {o}")
+    return found
+
+
+def unfinished(procs) -> list[str]:
+    """Names of the processes that never finished (a hang)."""
+    return [p.name for p in procs if not p.completion.processed]
+
+
+def audit_run(cluster, procs, faults: Optional[FaultInjector], violations=()) -> FaultRun:
+    """The post-run audit of a faulted run.  Its violations are a HANG
+    for each of ``procs`` that never finished, the driver's own
+    ``violations``, wire fault counters that disagree with the
+    injector's, and receiver CRC drops that do not account for the
+    delivered corruption; plus the quiescence findings."""
+    counters = dict(cluster.tracer.counters)
+    stats = faults.stats() if faults is not None else {}
+    found = [f"HANG: {name} never finished" for name in unfinished(procs)]
+    found += violations
+    for cls in ("dropped", "corrupted", "duplicated", "delayed"):
+        wire, injected = counters.get(f"wire.{cls}", 0), stats.get(cls, 0)
+        if wire != injected:
+            found.append(f"wire.{cls}={wire} disagrees with injector {cls}={injected}")
+    if stats.get("corrupted"):
+        crc_drops = counters.get("gm.rx_crc_drop", 0) + counters.get("elan.rx_crc_drop", 0)
+        if not stats["corrupted"] <= crc_drops <= stats["corrupted"] + stats["duplicated"]:
+            found.append(
+                f"CRC accounting broken: {crc_drops} receiver drops for "
+                f"{stats['corrupted']} corrupted (+{stats['duplicated']} "
+                "duplicated) packets"
+            )
+    report = check_quiescent(cluster, must_complete=[p.name for p in procs])
+    return FaultRun(
+        end_us=cluster.sim.now, counters=counters, fault_stats=stats,
+        quiescence=tuple(f.render() for f in report.findings),
+        violations=tuple(found),
+    )
 
 
 def _arrange_faults(scenario: ChaosScenario, cluster, faults: FaultInjector) -> None:
@@ -250,19 +394,11 @@ def _collective_step_factory(cluster, scenario: ChaosScenario, barrier, group,
 
 
 def _decode_chaos_result(payload: dict) -> ChaosRunResult:
-    return ChaosRunResult(
-        scenario=payload["scenario"],
-        barrier=payload["barrier"],
-        nodes=payload["nodes"],
-        iterations=payload["iterations"],
-        outcomes=tuple(tuple(rank) for rank in payload["outcomes"]),
-        seq_end_us=tuple(payload["seq_end_us"]),
-        end_us=payload["end_us"],
-        counters=payload["counters"],
-        fault_stats=payload["fault_stats"],
-        quiescence=tuple(payload["quiescence"]),
-        violations=tuple(payload["violations"]),
-    )
+    return ChaosRunResult(**{
+        **payload,
+        **{k: tuple(payload[k]) for k in ("seq_end_us", "quiescence", "violations")},
+        "outcomes": tuple(tuple(rank) for rank in payload["outcomes"]),
+    })
 
 
 def run_chaos_scenario(
@@ -277,13 +413,14 @@ def run_chaos_scenario(
     """Run one scenario under one barrier scheme and audit the run.
 
     Only stock-simulator runs consult ``cache`` — tie-break-perturbed
-    replays (``sim=TieBreakSimulator(...)``) exist to *re-execute* the
+    replays (a ``TieBreakSimulator`` as ``sim``) exist to *re-execute* the
     schedule, so they always run live.
     """
     if barrier not in scenario.applicable_schemes:
         raise ValueError(f"scenario {scenario.name!r} does not cover {barrier!r}")
-    profile = _apply_overrides(
-        get_profile(_DEFAULT_PROFILE[scenario.network]), scenario
+    profile = with_overrides(
+        get_profile(DEFAULT_PROFILE[scenario.network]),
+        scenario.gm_overrides, scenario.elan_overrides,
     )
     request = None
     if cache is not None and sim is None:
@@ -294,23 +431,14 @@ def run_chaos_scenario(
         payload = cache.get(request)
         if payload is not None:
             return _decode_chaos_result(payload)
-    probabilistic = (
-        scenario.drop_probability
-        or scenario.corrupt_probability
-        or scenario.duplicate_probability
-        or scenario.delay_probability
-    )
-    rng = (
-        DeterministicRng(seed, f"chaos/{scenario.name}") if probabilistic else None
-    )
-    faults = FaultInjector(
-        rng=rng,
+    faults = rate_faults(
+        DeterministicRng(seed, f"chaos/{scenario.name}"),
         drop_probability=scenario.drop_probability,
         corrupt_probability=scenario.corrupt_probability,
         duplicate_probability=scenario.duplicate_probability,
         delay_probability=scenario.delay_probability,
         delay_jitter_us=scenario.delay_jitter_us,
-    )
+    ) or FaultInjector()
     sim_obj = sim if sim is not None else Simulator()
     sim_obj.track_processes()
     cluster = build_cluster(profile, nodes, faults=faults, sim=sim_obj)
@@ -355,33 +483,24 @@ def run_chaos_scenario(
     ]
     cluster.sim.run()
 
-    violations: list[str] = []
-    for proc in procs:
-        if not proc.completion.processed:
-            violations.append(f"HANG: {proc.name} never finished its barriers")
+    counters = cluster.tracer.counters
+    violations = []
     for rank, record in enumerate(outcomes):
         if len(record) != iterations:
             violations.append(
                 f"rank {rank} recorded {len(record)}/{iterations} outcomes"
             )
+        violations += outcome_violations(f"rank {rank}", record)
     total_failures = sum(
         1 for record in outcomes for o in record if o.startswith("fail:")
     )
     total_oks = sum(1 for record in outcomes for o in record if o == "ok")
-    wrong = [
-        (rank, o)
-        for rank, record in enumerate(outcomes)
-        for o in record
-        if o.startswith("wrong:")
-    ]
-    for rank, o in wrong:
-        violations.append(f"rank {rank} computed an incorrect result: {o}")
-    if total_oks + total_failures + len(wrong) != nodes * iterations:
+    wrong = sum(1 for record in outcomes for o in record if o.startswith("wrong:"))
+    if total_oks + total_failures + wrong != nodes * iterations:
         violations.append(
             f"outcome accounting broken: {total_oks} ok + {total_failures} "
-            f"failed + {len(wrong)} wrong != {nodes * iterations}"
+            f"failed + {wrong} wrong != {nodes * iterations}"
         )
-    counters = dict(cluster.tracer.counters)
     if scenario.expect == "recover" and total_failures:
         violations.append(
             f"expected full recovery but {total_failures} barrier(s) failed"
@@ -400,26 +519,6 @@ def run_chaos_scenario(
                 "to fire, but it is zero"
             )
 
-    stats = faults.stats()
-    for cls in ("dropped", "corrupted", "duplicated", "delayed"):
-        wire = counters.get(f"wire.{cls}", 0)
-        if wire != stats[cls]:
-            violations.append(
-                f"wire.{cls}={wire} disagrees with injector {cls}={stats[cls]}"
-            )
-    if stats["corrupted"]:
-        crc_drops = counters.get("gm.rx_crc_drop", 0) + counters.get(
-            "elan.rx_crc_drop", 0
-        )
-        ceiling = stats["corrupted"] + stats["duplicated"]
-        if not stats["corrupted"] <= crc_drops <= ceiling:
-            violations.append(
-                f"CRC accounting broken: {crc_drops} receiver drops for "
-                f"{stats['corrupted']} corrupted (+{stats['duplicated']} "
-                "duplicated) packets"
-            )
-
-    report = check_quiescent(cluster, must_complete=[p.name for p in procs])
     run_result = ChaosRunResult(
         scenario=scenario.name,
         barrier=barrier,
@@ -427,11 +526,7 @@ def run_chaos_scenario(
         iterations=iterations,
         outcomes=tuple(tuple(r) for r in outcomes),
         seq_end_us=tuple(seq_end),
-        end_us=cluster.sim.now,
-        counters=counters,
-        fault_stats=stats,
-        quiescence=tuple(f.render() for f in report.findings),
-        violations=tuple(violations),
+        **vars(audit_run(cluster, procs, faults, violations)),
     )
     if request is not None:
         cache.put(request, run_result)
@@ -503,12 +598,7 @@ MYRINET_SCENARIOS: tuple[ChaosScenario, ...] = (
         expect="fail",
         schemes=("nic-direct", "nic-collective"),
         dead_link=(2, 3),
-        gm_overrides=(
-            ("ack_timeout_us", 200.0),
-            ("max_retries", 3),
-            ("nack_timeout_us", 300.0),
-            ("nack_max_rounds", 4),
-        ),
+        gm_overrides=SHRUNK_GM_BUDGET,
     ),
     ChaosScenario(
         name="slow-host",
@@ -584,12 +674,7 @@ DATA_SCENARIOS: tuple[ChaosScenario, ...] = (
         expect="fail",
         collective="allreduce",
         dead_link=(2, 3),
-        gm_overrides=(
-            ("ack_timeout_us", 200.0),
-            ("max_retries", 3),
-            ("nack_timeout_us", 300.0),
-            ("nack_max_rounds", 4),
-        ),
+        gm_overrides=SHRUNK_GM_BUDGET,
     ),
     ChaosScenario(
         name="bcast-flap",
@@ -610,12 +695,7 @@ DATA_SCENARIOS: tuple[ChaosScenario, ...] = (
         # The broadcast tree is rooted at rank 0, so the 0<->1 edge is
         # always a tree hop (a generic leaf pair may not be).
         dead_link=(0, 1),
-        gm_overrides=(
-            ("ack_timeout_us", 200.0),
-            ("max_retries", 3),
-            ("nack_timeout_us", 300.0),
-            ("nack_max_rounds", 4),
-        ),
+        gm_overrides=SHRUNK_GM_BUDGET,
     ),
     ChaosScenario(
         name="ibarrier-flap",
@@ -649,17 +729,16 @@ ALL_SCENARIOS: tuple[ChaosScenario, ...] = (
 
 
 # ----------------------------------------------------------------------
-# Campaign driver
+# Replayed blocks: the campaign and the fuzz block
 # ----------------------------------------------------------------------
 @dataclass
-class CampaignReport:
-    """Every run of a chaos campaign plus the per-run determinism audit."""
+class ReplayReport:
+    """A block of audited runs, each replayed under tie-break
+    permutations that must reproduce its observables bit for bit."""
 
-    nodes: int
-    iterations: int
-    rounds: int
-    results: list[ChaosRunResult] = field(default_factory=list)
-    #: "scenario/scheme" -> round indices whose results diverged.
+    title: str
+    results: list = field(default_factory=list)
+    #: result key -> permutation rounds whose observables diverged.
     diverged: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     @property
@@ -667,30 +746,37 @@ class CampaignReport:
         return all(r.ok for r in self.results) and not self.diverged
 
     def render(self) -> str:
-        lines = [
-            f"chaos campaign: N={self.nodes}, {self.iterations} barriers/run, "
-            f"{self.rounds} tie-break permutations/run"
-        ]
+        lines = [self.title]
         for result in self.results:
-            key = f"{result.scenario}/{result.barrier}"
-            marks = []
-            if result.violations:
-                marks.extend(result.violations)
+            marks = list(result.violations)
             if result.quiescence:
                 marks.append(f"{len(result.quiescence)} quiescence finding(s)")
-            if key in self.diverged:
+            if result.key in self.diverged:
                 marks.append(
-                    f"DIVERGED in permutation rounds {list(self.diverged[key])}"
+                    f"DIVERGED in permutation rounds {list(self.diverged[result.key])}"
                 )
             verdict = "ok" if not marks else "FAILED: " + "; ".join(marks)
-            lines.append(
-                f"  {key:<28} failures={result.failures:<3} "
-                f"end={result.end_us:>10.1f}us  {verdict}"
-            )
-            for finding in result.quiescence:
-                lines.append(f"    {finding}")
+            lines.append(f"  {result}  {verdict}")
+            lines.extend(f"    {finding}" for finding in result.quiescence)
         lines.append("PASS" if self.ok else "FAIL")
         return "\n".join(lines)
+
+
+def _replay_block(title: str, cases, rounds: int) -> ReplayReport:
+    """Run each ``(run, seed, stream)`` case: ``run(None)`` is the
+    baseline, and ``rounds`` replays on permutations drawn from
+    ``(seed, stream)`` must match its ``comparable()`` observables."""
+    report = ReplayReport(title)
+    for run, seed, stream in cases:
+        baseline = run(None)
+        report.results.append(baseline)
+        diverged = diverging_rounds(
+            run, baseline, rounds, seed, stream,
+            observe=lambda result: result.comparable(),
+        )
+        if diverged:
+            report.diverged[baseline.key] = tuple(r for r, _ in diverged)
+    return report
 
 
 def run_campaign(
@@ -700,7 +786,7 @@ def run_campaign(
     rounds: int = 20,
     seed: int = 0,
     cache: Optional[RunCache] = None,
-) -> CampaignReport:
+) -> ReplayReport:
     """The full chaos matrix: every scenario x scheme, with ``rounds``
     extra tie-break-perturbed replays that must be bit-identical.
 
@@ -708,30 +794,22 @@ def run_campaign(
     live (they are the determinism check) and is compared against the
     possibly-cached baseline observables.
     """
-    report = CampaignReport(nodes=nodes, iterations=iterations, rounds=rounds)
-    for scenario in ALL_SCENARIOS:
-        if scenario.network not in networks:
-            continue
-        for barrier in scenario.applicable_schemes:
-            baseline = run_chaos_scenario(
-                scenario, barrier, nodes=nodes, iterations=iterations,
-                seed=seed, cache=cache,
-            )
-            report.results.append(baseline)
-            diverged = []
-            for round_idx in range(rounds):
-                rng = DeterministicRng(
-                    seed, f"chaos/tiebreak/{scenario.name}/{barrier}/{round_idx}"
-                )
-                replay = run_chaos_scenario(
-                    scenario, barrier, nodes=nodes, iterations=iterations,
-                    seed=seed, sim=TieBreakSimulator(rng),
-                )
-                if replay.comparable() != baseline.comparable():
-                    diverged.append(round_idx)
-            if diverged:
-                report.diverged[f"{scenario.name}/{barrier}"] = tuple(diverged)
-    return report
+    cases = [
+        (
+            partial(run_chaos_scenario, scenario, barrier, nodes, iterations,
+                    seed, cache=cache),
+            seed,
+            f"chaos/tiebreak/{scenario.name}/{barrier}",
+        )
+        for scenario in ALL_SCENARIOS
+        if scenario.network in networks
+        for barrier in scenario.applicable_schemes
+    ]
+    return _replay_block(
+        f"chaos campaign: N={nodes}, {iterations} barriers/run, "
+        f"{rounds} tie-break permutations/run",
+        cases, rounds,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -779,16 +857,6 @@ class FuzzPlan:
     #: kill -> conviction by every survivor must fit in this window.
     detect_deadline_us: float
     horizon_us: float
-
-    def describe(self) -> str:
-        kills = ", ".join(f"n{v}@{t:.0f}us" for v, t in self.kills)
-        mixes = "; ".join("+".join(seg) for seg in self.segments)
-        return (
-            f"fuzz[{self.network} seed={self.seed} N={self.nodes}] "
-            f"kills=[{kills}] flaps={len(self.flaps)} "
-            f"corrupt={self.corrupt_probability} "
-            f"delay={self.delay_probability} segments=[{mixes}]"
-        )
 
 
 def make_fuzz_plan(network: str, seed: int, nodes: int = 16) -> FuzzPlan:
@@ -855,8 +923,10 @@ def make_fuzz_plan(network: str, seed: int, nodes: int = 16) -> FuzzPlan:
 
 
 @dataclass
-class FuzzResult:
+class FuzzResult(FaultRun):
     """One fuzz case: per-rank, per-epoch outcomes plus the audit."""
+
+    _OBSERVED = ("outcomes", "detected_at", "repaired_at")
 
     plan: FuzzPlan
     #: outcomes[rank][epoch] -> tuple of "ok:<op>" / "revoked:<op>" /
@@ -866,38 +936,21 @@ class FuzzResult:
     detected_at: tuple[float, ...] = ()
     repaired_at: tuple[float, ...] = ()
     epochs: int = 0
-    end_us: float = 0.0
-    counters: dict[str, int] = field(default_factory=dict)
-    fault_stats: dict = field(default_factory=dict)
-    quiescence: tuple[str, ...] = ()
-    violations: tuple[str, ...] = ()
 
     @property
-    def ok(self) -> bool:
-        return not self.violations and not self.quiescence
-
-    def comparable(self) -> tuple:
-        """Observables that must be bit-identical under tie-break
-        permutation of the event schedule."""
-        return (
-            self.outcomes,
-            self.detected_at,
-            self.repaired_at,
-            self.end_us,
-            tuple(sorted(self.counters.items())),
-            repr(self.fault_stats),
-        )
+    def key(self) -> str:
+        return f"{self.plan.network}/seed{self.plan.seed}"
 
     def __str__(self) -> str:
-        verdict = "ok" if self.ok else "FAILED"
         return (
-            f"{self.plan.describe()}: {verdict} "
-            f"(epochs={self.epochs}, end={self.end_us:.0f}us)"
+            f"{self.key:<20} kills={len(self.plan.kills)} "
+            f"epochs={self.epochs} end={self.end_us:>9.1f}us"
         )
 
 
-def _fuzz_myrinet_op(cluster, ctx, comm, op):
-    """Run one op on a Myrinet rank handle, verifying data results.
+def _fuzz_op(ctx, comm, op):
+    """Run one op on a rank handle, verifying data results (Quadrics
+    draws only barriers, which have none, and passes no ``ctx``).
 
     Expected values are derived from node ids (``comm.rank`` is stale
     until the collective call itself resyncs the epoch) with no yield
@@ -906,34 +959,23 @@ def _fuzz_myrinet_op(cluster, ctx, comm, op):
     """
     if op == "barrier":
         yield from comm.barrier()
-        return "ok:barrier"
-    if op == "allreduce":
+    elif op == "allreduce":
         expected = sum(n + 1 for n in ctx.nodes)
         result = yield from comm.allreduce(comm.node + 1, "sum")
         if result != expected:
             return f"wrong:allreduce:{result!r}"
-        return "ok:allreduce"
-    if op == "bcast":
+    elif op == "bcast":
         token = ("fz", ctx.epoch)
         value = token if comm.node == ctx.nodes[0] else None
         result = yield from comm.bcast(value=value, size_bytes=64, root=0)
         if result != token:
             return f"wrong:bcast:{result!r}"
-        return "ok:bcast"
-    # ibarrier: request-handle form; the host spins on test() until the
-    # barrier resolves (a typed failure raises from the spin).
-    request = yield from comm.ibarrier()
-    yield from request.busy_wait()
-    return "ok:ibarrier"
-
-
-def _fuzz_quadrics_op(comm, op):
-    if op == "barrier":
-        yield from comm.barrier()
-        return "ok:barrier"
-    request = yield from comm.ibarrier()
-    yield from request.busy_wait()
-    return "ok:ibarrier"
+    else:
+        # ibarrier: request-handle form; the host spins on test() until
+        # the barrier resolves (a typed failure raises from the spin).
+        request = yield from comm.ibarrier()
+        yield from request.busy_wait()
+    return f"ok:{op}"
 
 
 def run_fuzz_case(
@@ -947,28 +989,21 @@ def run_fuzz_case(
     """
     from repro.mpi import create_communicators, repair_quadrics
 
-    profile = get_profile(_DEFAULT_PROFILE[plan.network])
-    if plan.network == "myrinet":
-        # Shrunk retry budgets: dying-epoch ops must resolve within the
-        # recovery window even when revocation loses the race with the
-        # retry machinery.
-        profile = replace(profile, gm=replace(
-            profile.gm, ack_timeout_us=200.0, max_retries=3,
-            nack_timeout_us=300.0, nack_max_rounds=4,
-        ))
-    rng = DeterministicRng(plan.seed, f"chaos-fuzz/run/{plan.network}")
-    probabilistic = (
-        plan.corrupt_probability
-        or plan.duplicate_probability
-        or plan.delay_probability
+    # Shrunk retry budgets: dying-epoch ops must resolve within the
+    # recovery window even when revocation loses the race with the retry
+    # machinery.
+    profile = with_overrides(
+        get_profile(DEFAULT_PROFILE[plan.network]),
+        gm=SHRUNK_GM_BUDGET if plan.network == "myrinet" else (),
     )
-    faults = FaultInjector(
-        rng=rng.substream("wire") if probabilistic else None,
+    rng = DeterministicRng(plan.seed, f"chaos-fuzz/run/{plan.network}")
+    faults = rate_faults(
+        rng.substream("wire"),
         corrupt_probability=plan.corrupt_probability,
         duplicate_probability=plan.duplicate_probability,
         delay_probability=plan.delay_probability,
         delay_jitter_us=plan.delay_jitter_us,
-    )
+    ) or FaultInjector()
     sim_obj = sim if sim is not None else Simulator()
     sim_obj.track_processes()
     cluster = build_cluster(profile, plan.nodes, faults=faults, sim=sim_obj)
@@ -976,12 +1011,7 @@ def run_fuzz_case(
         faults.flap_link(a, b, start, until)
     for victim, at_us in plan.kills:
         faults.kill_node(victim, at_us=at_us)
-    hb_rng = rng.substream("hb")
-    for node in range(plan.nodes):
-        cluster.nics[node].enable_failure_detector(
-            range(plan.nodes), rng=hb_rng, period_us=plan.hb_period_us,
-            timeout_us=plan.hb_timeout_us, horizon_us=plan.horizon_us,
-        )
+    arm_detectors(cluster, rng, plan)
 
     comms = create_communicators(cluster)
     ctx = comms[0]._ctx if plan.network == "myrinet" else None
@@ -995,48 +1025,22 @@ def run_fuzz_case(
     repaired_at: list[float] = []
     violations: list[str] = []
 
-    def killer(victim: int, at_us: float):
-        yield at_us
-        cluster.nics[victim].crashed = True
-
-    def controller():
-        for k, (victim, at_us) in enumerate(plan.kills):
-            if sim_obj.now < at_us:
-                yield at_us - sim_obj.now
-            deadline = at_us + plan.detect_deadline_us
-            # The survivor predicate re-evaluates every poll: a node
-            # that crashes *during* this detection window (a
-            # mid-recovery kill) stops owing a conviction — its own
-            # detector went down with it.
-            while not all(
-                cluster.nics[s].membership.is_dead(victim)
-                for s in range(plan.nodes)
-                if s != victim and not cluster.nics[s].crashed
-            ):
-                if sim_obj.now > deadline:
-                    violations.append(
-                        f"kill {k}: victim n{victim} not convicted by every "
-                        f"survivor within {plan.detect_deadline_us:.0f}us"
-                    )
-                    break
-                yield _FUZZ_POLL_US
-            detected_at.append(round(sim_obj.now, 3))
-            # Repair and open the next phase with no yield in between:
-            # a survivor must never start an op on the new epoch before
-            # the gate moves, or its sequence numbering would split.
-            try:
-                if plan.network == "myrinet":
-                    ctx.repair([victim])
-                else:
-                    comm_box["comms"] = repair_quadrics(
-                        cluster, comm_box["comms"], [victim]
-                    )
-            except Exception as exc:  # noqa: BLE001 - audited, not raised
-                violations.append(f"kill {k}: repair failed: {exc!r}")
-                state["phase"] = n_segments
-                return
-            state["phase"] = k + 1
-            repaired_at.append(round(sim_obj.now, 3))
+    def repair(k: int, victim: int) -> bool:
+        detected_at.append(round(sim_obj.now, 3))
+        try:
+            if plan.network == "myrinet":
+                ctx.repair([victim])
+            else:
+                comm_box["comms"] = repair_quadrics(
+                    cluster, comm_box["comms"], [victim]
+                )
+        except Exception as exc:  # noqa: BLE001 - audited, not raised
+            violations.append(f"kill {k}: repair failed: {exc!r}")
+            state["phase"] = n_segments
+            return False
+        state["phase"] = k + 1
+        repaired_at.append(round(sim_obj.now, 3))
+        return True
 
     def program(node: int):
         for phase_idx, segment in enumerate(plan.segments):
@@ -1057,20 +1061,15 @@ def run_fuzz_case(
                     if cluster.nics[node].crashed:
                         record.append("dead")
                         return
-                    if plan.network == "myrinet":
-                        comm = comm_box["comms"][node]
-                        runner = _fuzz_myrinet_op(cluster, ctx, comm, op)
-                    else:
-                        comm = next(
-                            (c for c in comm_box["comms"] if c.node == node),
-                            None,
-                        )
-                        if comm is None:
-                            record.append("dead")
-                            return
-                        runner = _fuzz_quadrics_op(comm, op)
+                    # Quadrics repair drops the dead nodes' communicators.
+                    comm = next(
+                        (c for c in comm_box["comms"] if c.node == node), None
+                    )
+                    if comm is None:
+                        record.append("dead")
+                        return
                     try:
-                        verdict = yield from runner
+                        verdict = yield from _fuzz_op(ctx, comm, op)
                         record.append(verdict)
                     except Revoked:
                         record.append(f"revoked:{op}")
@@ -1083,30 +1082,16 @@ def run_fuzz_case(
         sim_obj.process(program(node), name=f"fuzz@{node}")
         for node in range(plan.nodes)
     ]
-    for victim, at_us in plan.kills:
-        procs.append(
-            sim_obj.process(killer(victim, at_us), name=f"killer@{victim}")
-        )
-    procs.append(sim_obj.process(controller(), name="fuzz-controller"))
+    procs += launch_kills(
+        cluster, plan.kills, plan.detect_deadline_us, repair,
+        violations.append, _FUZZ_POLL_US, "fuzz-controller",
+    )
     sim_obj.run()
 
-    for proc in procs:
-        if not proc.completion.processed:
-            violations.append(f"HANG: {proc.name} never finished")
     dead_nodes = {victim for victim, _ in plan.kills}
     for node in range(plan.nodes):
         flat = [o for phase in outcomes[node] for o in phase]
-        for o in flat:
-            if o.startswith("wrong:"):
-                violations.append(f"rank n{node} computed a wrong result: {o}")
-            elif o.startswith("fail:"):
-                reason = o.split(":", 2)[2]
-                try:
-                    classify_reason(reason)
-                except ValueError:
-                    violations.append(
-                        f"rank n{node} surfaced an untyped failure reason: {o}"
-                    )
+        violations += outcome_violations(f"rank n{node}", flat)
         if node in dead_nodes:
             if not flat or flat[-1] != "dead":
                 violations.append(
@@ -1130,27 +1115,6 @@ def run_fuzz_case(
             f"{len(plan.kills)} kill(s) but {epochs} completed repair(s)"
         )
 
-    counters = dict(cluster.tracer.counters)
-    stats = faults.stats()
-    for cls in ("corrupted", "duplicated", "delayed"):
-        wire = counters.get(f"wire.{cls}", 0)
-        if wire != stats[cls]:
-            violations.append(
-                f"wire.{cls}={wire} disagrees with injector {cls}={stats[cls]}"
-            )
-    if stats["corrupted"]:
-        crc_drops = counters.get("gm.rx_crc_drop", 0) + counters.get(
-            "elan.rx_crc_drop", 0
-        )
-        ceiling = stats["corrupted"] + stats["duplicated"]
-        if not stats["corrupted"] <= crc_drops <= ceiling:
-            violations.append(
-                f"CRC accounting broken: {crc_drops} receiver drops for "
-                f"{stats['corrupted']} corrupted (+{stats['duplicated']} "
-                "duplicated) packets"
-            )
-
-    report = check_quiescent(cluster, must_complete=[p.name for p in procs])
     return FuzzResult(
         plan=plan,
         outcomes=tuple(
@@ -1159,51 +1123,8 @@ def run_fuzz_case(
         detected_at=tuple(detected_at),
         repaired_at=tuple(repaired_at),
         epochs=epochs,
-        end_us=cluster.sim.now,
-        counters=counters,
-        fault_stats=stats,
-        quiescence=tuple(f.render() for f in report.findings),
-        violations=tuple(violations),
+        **vars(audit_run(cluster, procs, faults, violations)),
     )
-
-
-@dataclass
-class FuzzReport:
-    """A block of fuzz cases plus the per-case determinism audit."""
-
-    nodes: int
-    rounds: int
-    results: list[FuzzResult] = field(default_factory=list)
-    #: "network/seed" -> permutation rounds whose observables diverged.
-    diverged: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results) and not self.diverged
-
-    def render(self) -> str:
-        lines = [
-            f"chaos fuzz: N={self.nodes}, {len(self.results)} case(s), "
-            f"{self.rounds} tie-break permutation(s)/case"
-        ]
-        for result in self.results:
-            key = f"{result.plan.network}/seed{result.plan.seed}"
-            marks = list(result.violations)
-            if result.quiescence:
-                marks.append(f"{len(result.quiescence)} quiescence finding(s)")
-            if key in self.diverged:
-                marks.append(
-                    f"DIVERGED in permutation rounds {list(self.diverged[key])}"
-                )
-            verdict = "ok" if not marks else "FAILED: " + "; ".join(marks)
-            lines.append(
-                f"  {key:<20} kills={len(result.plan.kills)} "
-                f"epochs={result.epochs} end={result.end_us:>9.1f}us  {verdict}"
-            )
-            for finding in result.quiescence:
-                lines.append(f"    {finding}")
-        lines.append("PASS" if self.ok else "FAIL")
-        return "\n".join(lines)
 
 
 def run_fuzz_block(
@@ -1211,25 +1132,22 @@ def run_fuzz_block(
     seeds: tuple[int, ...] = (0, 1, 2, 3),
     nodes: int = 16,
     rounds: int = 1,
-) -> FuzzReport:
+) -> ReplayReport:
     """Run a block of seeded fuzz cases, each replayed under ``rounds``
     tie-break permutations that must reproduce the baseline observables
     bit-identically (the SL101 discipline, applied to full
     kill → detect → shrink → resume campaigns)."""
-    report = FuzzReport(nodes=nodes, rounds=rounds)
-    for network in networks:
-        for seed in seeds:
-            plan = make_fuzz_plan(network, seed, nodes=nodes)
-            baseline = run_fuzz_case(plan)
-            report.results.append(baseline)
-            diverged = []
-            for round_idx in range(rounds):
-                rng = DeterministicRng(
-                    seed, f"chaos-fuzz/tiebreak/{network}/{round_idx}"
-                )
-                replay = run_fuzz_case(plan, sim=TieBreakSimulator(rng))
-                if replay.comparable() != baseline.comparable():
-                    diverged.append(round_idx)
-            if diverged:
-                report.diverged[f"{network}/seed{seed}"] = tuple(diverged)
-    return report
+    cases = [
+        (
+            partial(run_fuzz_case, make_fuzz_plan(network, seed, nodes=nodes)),
+            seed,
+            f"chaos-fuzz/tiebreak/{network}",
+        )
+        for network in networks
+        for seed in seeds
+    ]
+    return _replay_block(
+        f"chaos fuzz: N={nodes}, {len(cases)} case(s), "
+        f"{rounds} tie-break permutation(s)/case",
+        cases, rounds,
+    )

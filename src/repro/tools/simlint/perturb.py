@@ -34,7 +34,7 @@ from repro.cluster.runner import (
     BarrierResult,
     run_barrier_experiment,
 )
-from repro.network.faults import FaultInjector
+from repro.network.faults import rate_faults
 from repro.sim.engine import _COMPACT_MIN_CANCELLED, ScheduledCall, Simulator
 from repro.sim.rng import DeterministicRng
 from repro.tools.simlint.findings import Finding
@@ -281,19 +281,16 @@ def perturb_barrier_experiment(
     reliability_faults = drop_probability or corrupt_probability or duplicate_probability
     if reliability_faults and resolved.network != "myrinet":
         raise ValueError("fault injection is a Myrinet-only experiment")
-    any_faults = reliability_faults or delay_probability
 
     def one_run(sim: Optional[Simulator]) -> BarrierResult:
-        faults = None
-        if any_faults:
-            faults = FaultInjector(
-                rng=DeterministicRng(seed, "simlint/faults"),
-                drop_probability=drop_probability,
-                corrupt_probability=corrupt_probability,
-                duplicate_probability=duplicate_probability,
-                delay_probability=delay_probability,
-                delay_jitter_us=delay_jitter_us,
-            )
+        faults = rate_faults(
+            DeterministicRng(seed, "simlint/faults"),
+            drop_probability=drop_probability,
+            corrupt_probability=corrupt_probability,
+            duplicate_probability=duplicate_probability,
+            delay_probability=delay_probability,
+            delay_jitter_us=delay_jitter_us,
+        )
         cluster = build_cluster(resolved, nodes, faults=faults, sim=sim)
         return run_barrier_experiment(
             cluster,
@@ -305,24 +302,23 @@ def perturb_barrier_experiment(
         )
 
     baseline = one_run(None)
-    findings: list[Finding] = []
-    diverged: list[int] = []
-    where = f"{resolved.name}/{barrier}"
-    for round_idx in range(rounds):
-        rng = DeterministicRng(seed, f"simlint/tiebreak/{round_idx}")
-        result = one_run(TieBreakSimulator(rng))
-        diffs = diff_results(baseline, result)
-        if diffs:
-            diverged.append(round_idx)
-            findings.append(Finding(
-                "SL101", where, 0,
-                f"results diverged under tie-break permutation "
-                f"(round {round_idx}, N={nodes}): " + "; ".join(diffs),
-                fixit="some protocol state depends on same-timestamp event "
-                      "order; look for iteration over unordered collections, "
-                      "shared mutable state read before all same-time events "
-                      "settle, or RNG draws consumed in schedule order",
-            ))
+    diverged = diverging_rounds(
+        one_run, baseline, rounds, seed, "simlint/tiebreak",
+        observe=lambda result: [getattr(result, f) for f in _COMPARED_FIELDS],
+    )
+    findings = [
+        Finding(
+            "SL101", f"{resolved.name}/{barrier}", 0,
+            f"results diverged under tie-break permutation "
+            f"(round {round_idx}, N={nodes}): "
+            + "; ".join(diff_results(baseline, result)),
+            fixit="some protocol state depends on same-timestamp event "
+                  "order; look for iteration over unordered collections, "
+                  "shared mutable state read before all same-time events "
+                  "settle, or RNG draws consumed in schedule order",
+        )
+        for round_idx, result in diverged
+    ]
     return PerturbationReport(
         profile=resolved.name,
         barrier=barrier,
@@ -330,8 +326,29 @@ def perturb_barrier_experiment(
         rounds=rounds,
         baseline=baseline,
         findings=findings,
-        diverged_rounds=tuple(diverged),
+        diverged_rounds=tuple(round_idx for round_idx, _ in diverged),
     )
+
+
+def diverging_rounds(
+    run: Callable[[Simulator], Any],
+    baseline: Any,
+    rounds: int,
+    seed: int,
+    stream: str,
+    observe: Callable[[Any], Any] = lambda result: result,
+) -> list[tuple[int, Any]]:
+    """The tie-break replay loop: ``(round, result)`` for every one of
+    ``rounds`` re-runs of ``run`` whose ``observe``-d result differs from
+    the baseline's.  Round ``k`` permutes with ``DeterministicRng(seed,
+    f"{stream}/{k}")``, so a caller's stream fixes what it tests."""
+    expected = observe(baseline)
+    diverged = []
+    for round_idx in range(rounds):
+        result = run(TieBreakSimulator(DeterministicRng(seed, f"{stream}/{round_idx}")))
+        if observe(result) != expected:
+            diverged.append((round_idx, result))
+    return diverged
 
 
 def compare_runs(
@@ -348,19 +365,18 @@ def compare_runs(
     SL101 finding per diverging round.
     """
     baseline = build_and_run(Simulator())
-    findings: list[Finding] = []
-    for round_idx in range(rounds):
-        rng = DeterministicRng(seed, f"simlint/tiebreak/{round_idx}")
-        result = build_and_run(TieBreakSimulator(rng))
-        if result != baseline:
-            findings.append(Finding(
-                "SL101", where, 0,
-                f"observable diverged under tie-break permutation "
-                f"(round {round_idx}): {_abbreviate(baseline)} != "
-                f"{_abbreviate(result)}",
-                fixit="remove the dependence on same-timestamp event order",
-            ))
-    return findings
+    return [
+        Finding(
+            "SL101", where, 0,
+            f"observable diverged under tie-break permutation "
+            f"(round {round_idx}): {_abbreviate(baseline)} != "
+            f"{_abbreviate(result)}",
+            fixit="remove the dependence on same-timestamp event order",
+        )
+        for round_idx, result in diverging_rounds(
+            build_and_run, baseline, rounds, seed, "simlint/tiebreak"
+        )
+    ]
 
 
 def all_scheme_reports(

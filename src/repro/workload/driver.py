@@ -26,12 +26,20 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.cluster.builder import build_cluster
-from repro.cluster.profiles import get_profile
+from repro.cluster.profiles import DEFAULT_PROFILE, get_profile
 from repro.collectives import BarrierFailure, Revoked
 from repro.collectives.data_engine import CollectiveFailure
 from repro.mpi import create_communicators, repair_quadrics
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
+from repro.tools.chaos import (
+    SHRUNK_GM_BUDGET,
+    arm_detectors,
+    audit_run,
+    launch_kills,
+    unfinished,
+    with_overrides,
+)
 from repro.tools.runcache import (
     cached_call,
     jsonable,
@@ -50,11 +58,6 @@ from repro.workload.metrics import (
     summarize_job,
 )
 from repro.workload.trace import JobSpec, render_trace, validate_trace
-
-DEFAULT_PROFILE = {
-    "myrinet": "lanai_xp_xeon2400",
-    "quadrics": "elan3_piii700",
-}
 
 _POLL_US = 25.0
 
@@ -140,55 +143,39 @@ class _JobTracker:
         return out
 
 
-def _run_myrinet_op(comm, op: str, payload_bytes: int, token):
+def _run_op(comm, op: str, payload_bytes: int, token):
+    """One iteration's collective (Quadrics traces hold only barrier and
+    bcast: see ``validate_trace``)."""
     if op == "barrier":
         yield from comm.barrier()
         return None
     if op == "bcast":
         value = token if comm.rank == 0 else None
-        result = yield from comm.bcast(
-            value=value, size_bytes=max(4, payload_bytes), root=0
-        )
-        return ("bcast", result)
-    if op == "allreduce":
+        result = yield from comm.bcast(value=value, size_bytes=max(4, payload_bytes))
+    elif op == "allreduce":
         result = yield from comm.allreduce(comm.rank + 1)
-        return ("allreduce", result)
-    if op == "allgather":
+    elif op == "allgather":
         result = yield from comm.allgather(comm.rank)
-        return ("allgather", result)
-    if op == "alltoall":
-        blocks = {dst: (comm.rank, dst) for dst in range(comm.size)}
-        result = yield from comm.alltoall(blocks)
-        return ("alltoall", result)
-    raise ValueError(f"unsupported Myrinet collective {op!r}")
-
-
-def _run_quadrics_op(comm, op: str, payload_bytes: int, token):
-    if op == "barrier":
-        yield from comm.barrier()
-        return None
-    if op == "bcast":
-        value = token if comm.rank == 0 else None
-        result = yield from comm.bcast(
-            value=value, size_bytes=max(4, payload_bytes)
-        )
-        return ("bcast", result)
-    raise ValueError(f"unsupported Quadrics collective {op!r}")
+    elif op == "alltoall":
+        result = yield from comm.alltoall({dst: (comm.rank, dst) for dst in range(comm.size)})
+    else:
+        raise ValueError(f"unsupported collective {op!r}")
+    return (op, result)
 
 
 class _JobRun:
     """Everything one job needs at run time."""
 
-    def __init__(self, cluster, network: str, job: JobSpec, ops, affected: bool):
+    def __init__(self, cluster, network: str, job: JobSpec, ops, kill):
         self.cluster = cluster
         self.network = network
         self.job = job
         self.ops = ops
-        self.affected = affected  # contains the kill victim
+        #: The kill, when the job contains its victim.
+        self.kill = kill if kill is not None and kill.node in job.nodes else None
         self.tracker = _JobTracker(cluster.sim, job)
-        self.gate = {"repaired": False}
+        self.repaired = False  # the gate to the survivor epoch
         self.violations: list[str] = []
-        self.tail_ok = 0
         self.status = "completed"
         self.comms = create_communicators(cluster, nodes=list(job.nodes))
         if network == "myrinet":
@@ -244,16 +231,13 @@ class _JobRun:
 
     def program(self, rank: int):
         job = self.job
-        run_op = (
-            _run_myrinet_op if self.network == "myrinet" else _run_quadrics_op
-        )
         if job.arrival_us > 0:
             yield job.arrival_us
         node = job.nodes[rank]
         token = f"{job.name}/tok"
         abandoned_at: Optional[int] = None
         for it, op in enumerate(self.ops):
-            if self.gate["repaired"]:
+            if self.repaired:
                 abandoned_at = it
                 break
             if self.cluster.nics[node].crashed:
@@ -266,7 +250,7 @@ class _JobRun:
                 else self.comms[rank]
             )
             try:
-                result = yield from run_op(comm, op, job.payload_bytes, token)
+                result = yield from _run_op(comm, op, job.payload_bytes, token)
             except (Revoked, BarrierFailure, CollectiveFailure):
                 abandoned_at = it
                 break
@@ -279,18 +263,15 @@ class _JobRun:
         # it with a tail of barriers on the survivor group.
         self.tracker.rank_dead(abandoned_at)
         self.status = "repaired"
-        while not self.gate["repaired"]:
+        while not self.repaired:
             yield _POLL_US
         if self.cluster.nics[node].crashed:
             return
         comm = self.comm_for_node(node)
         if comm is None:
             return
-        kill = self.gate.get("kill")
-        tail = kill.tail_iterations if kill is not None else 0
-        for _ in range(tail):
+        for _ in range(self.kill.tail_iterations):
             yield from comm.barrier()
-        self.tail_ok += 1
 
     def _check(self, rank: int, op: str, result, token) -> None:
         kind, value = result
@@ -311,61 +292,31 @@ class _JobRun:
 
 
 def _launch_chaos(cluster, network: str, runs, kill: KillSpec, rng):
-    """Killer + controller processes (the ``repro chaos`` idiom)."""
-    n = cluster.n
-    hb_rng = rng.substream("hb")
-    for node in range(n):
-        cluster.nics[node].enable_failure_detector(
-            range(n),
-            rng=hb_rng,
-            period_us=kill.hb_period_us,
-            timeout_us=kill.hb_timeout_us,
-            horizon_us=kill.horizon_us,
-        )
+    """Detectors, killer and controller (the ``repro chaos`` harness)."""
+    arm_detectors(cluster, rng, kill)
+    affected = [run for run in runs if run.kill is not None]
 
-    def killer():
-        yield kill.at_us
-        cluster.nics[kill.node].crashed = True
+    def note(violation: str) -> None:
+        for run in affected:
+            run.violations.append(violation)
 
-    def controller():
-        if cluster.sim.now < kill.at_us:
-            yield kill.at_us - cluster.sim.now
-        deadline = kill.at_us + kill.detect_deadline_us
-        while not all(
-            cluster.nics[s].membership.is_dead(kill.node)
-            for s in range(n)
-            if s != kill.node and not cluster.nics[s].crashed
-        ):
-            if cluster.sim.now > deadline:
-                for run in runs:
-                    if run.affected:
-                        run.violations.append(
-                            f"victim n{kill.node} not convicted within "
-                            f"{kill.detect_deadline_us:.0f}us"
-                        )
-                return
-            yield _POLL_US
-        # Repair every affected job and open its gate in one event: no
-        # survivor may start a new-epoch op before the gate moves.
-        for run in runs:
-            if not run.affected:
-                continue
+    def repair(_k: int, victim: int) -> bool:
+        # Repair every affected job and open its gate in one event.
+        for run in affected:
             try:
                 if network == "myrinet":
-                    run.ctx.repair([kill.node])
+                    run.ctx.repair([victim])
                 else:
-                    run.comms = repair_quadrics(
-                        cluster, run.comms, [kill.node]
-                    )
+                    run.comms = repair_quadrics(cluster, run.comms, [victim])
             except Exception as exc:  # noqa: BLE001 - audited, not raised
                 run.violations.append(f"repair failed: {exc!r}")
-            run.gate["kill"] = kill
-            run.gate["repaired"] = True
+            run.repaired = True
+        return True
 
-    return [
-        cluster.sim.process(killer(), name=f"killer@{kill.node}"),
-        cluster.sim.process(controller(), name="workload-controller"),
-    ]
+    return launch_kills(
+        cluster, ((kill.node, kill.at_us),), kill.detect_deadline_us,
+        repair, note, _POLL_US, "workload-controller",
+    )
 
 
 def _execute(
@@ -378,19 +329,18 @@ def _execute(
     kill: Optional[KillSpec],
     sim: Optional[Simulator],
     profile: Optional[str] = None,
+    what: str = "workload",
 ):
     """Build one cluster, run the jobs (+ cross-traffic, + chaos), and
-    return ``(job runs, diagnostics dict)``."""
+    return ``(job runs, diagnostics dict)``; a hang raises, naming
+    ``what`` hung."""
     resolved = get_profile(profile or DEFAULT_PROFILE[network])
     faults = None
     if kill is not None:
         if network == "myrinet":
             # Shrunk retry budgets: dying-epoch ops must resolve within
             # the recovery window (the repro chaos fuzzer's settings).
-            resolved = replace(resolved, gm=replace(
-                resolved.gm, ack_timeout_us=200.0, max_retries=3,
-                nack_timeout_us=300.0, nack_max_rounds=4,
-            ))
+            resolved = with_overrides(resolved, SHRUNK_GM_BUDGET)
         faults = FaultInjector()
         faults.kill_node(kill.node, at_us=kill.at_us)
     sim_obj = sim if sim is not None else Simulator()
@@ -398,13 +348,7 @@ def _execute(
     cluster = build_cluster(resolved, cluster_nodes, faults=faults, sim=sim_obj)
 
     runs = [
-        _JobRun(
-            cluster,
-            network,
-            job,
-            _draw_ops(job, seed),
-            affected=kill is not None and kill.node in job.nodes,
-        )
+        _JobRun(cluster, network, job, _draw_ops(job, seed), kill)
         for job in jobs
     ]
 
@@ -422,20 +366,20 @@ def _execute(
                     run.program(rank), name=f"{run.job.name}@r{rank}"
                 )
             )
-    chaos_rng = DeterministicRng(seed, f"workload/chaos/{network}")
     if kill is not None:
-        procs.extend(_launch_chaos(cluster, network, runs, kill, chaos_rng))
+        chaos_rng = DeterministicRng(seed, f"workload/chaos/{network}")
+        procs += _launch_chaos(cluster, network, runs, kill, chaos_rng)
 
     sim_obj.run()
-
-    hung = [p.name for p in procs if not p.completion.processed]
+    hung = unfinished(procs)
+    if hung:
+        raise RuntimeError(f"{what} hung: {hung}")
     diagnostics = {
         "profile": resolved.name,
         "cluster": cluster,
+        "faults": faults,
         "procs": procs,
-        "hung": hung,
         "injector": injector,
-        "sim_end_us": cluster.sim.now,
     }
     return runs, diagnostics
 
@@ -452,15 +396,11 @@ def _silent_baselines(
     baselines = {}
     for job in jobs:
         alone = replace(job, arrival_us=0.0)
-        runs, diag = _execute(
+        runs, _ = _execute(
             network, cluster_nodes, [alone], seed,
             xtraffic_schedule=(), xtraffic_bytes=0, kill=None, sim=None,
-            profile=profile,
+            profile=profile, what=f"silent baseline for {job.name}",
         )
-        if diag["hung"]:
-            raise RuntimeError(
-                f"silent baseline for {job.name} hung: {diag['hung']}"
-            )
         run = runs[0]
         lat = run.tracker.latencies()[job.warmup:]
         baselines[job.name] = summarize_job(
@@ -518,8 +458,6 @@ def run_workload(
         xtraffic_bytes=xtraffic.size_bytes if xtraffic is not None else 0,
         kill=kill, sim=sim, profile=profile,
     )
-    if diag["hung"]:
-        raise RuntimeError(f"workload hung: {diag['hung']}")
     cluster = diag["cluster"]
 
     job_metrics: list[JobMetrics] = []
@@ -563,11 +501,7 @@ def run_workload(
                     f"{check.actual_packets}"
                 )
 
-    from repro.tools.simlint import check_quiescent
-
-    report = check_quiescent(
-        cluster, must_complete=[p.name for p in diag["procs"]]
-    )
+    audit = audit_run(cluster, diag["procs"], diag["faults"], violations)
 
     return {
         "network": network,
@@ -576,15 +510,15 @@ def run_workload(
         "seed": seed,
         "jobs": [m.to_json() for m in job_metrics],
         "fairness": fairness,
-        "sim_end_us": diag["sim_end_us"],
+        "sim_end_us": audit.end_us,
         "xtraffic": (
             diag["injector"].stats() if diag["injector"] is not None else None
         ),
         "xtraffic_horizon_us": horizon if schedule else 0.0,
         "flow_counters": cluster.fabric.flow_counters(),
         "group_audit": group_audit,
-        "quiescence": [f.render() for f in report.findings],
-        "violations": violations,
+        "quiescence": list(audit.quiescence),
+        "violations": list(audit.violations),
         "kill": kill.to_json() if kill is not None else None,
     }
 

@@ -344,9 +344,7 @@ def send_token_scenario():
     ]
     sim.run()
     assert all(p.completion.processed for p in procs)
-    # Token ids come from a process-wide counter: compare by content.
-    pending = [(type(ev), ev.payload) for ev in port0._pending]
-    return log, [cpu.busy_us for cpu in cluster.cpus], sim.now, pending
+    return log, [cpu.busy_us for cpu in cluster.cpus], sim.now, list(port0._pending)
 
 
 def test_send_token_completion_fires_at_the_drain_boundary(monkeypatch):
@@ -358,7 +356,10 @@ def test_send_token_completion_fires_at_the_drain_boundary(monkeypatch):
     (kind_t, t_token, is_token), (kind_r, t_reply, payload) = log
     assert (kind_t, is_token, kind_r, payload) == ("token", True, "reply", ("pong", "ping"))
     assert t_token < t_reply
-    assert pending == [(SendToken, "ping")]
+    assert pending == [SendToken(
+        dst=1, size_bytes=64, payload="ping", kind=PacketKind.DATA,
+        enqueued_at=1.5, all_packets_sent=True,
+    )]
 
 
 # ----------------------------------------------------------------------
